@@ -10,9 +10,14 @@ export RUSTFLAGS="-D warnings"
 cargo build --release --offline
 cargo test -q --offline
 
-# Observability: trace analyses + a traced end-to-end run whose Chrome
-# JSON export self-validates through the in-repo parser before writing.
-cargo test -q --offline -p babelflow-trace
+# Every crate's tests gate CI, not only the root package's: the
+# reliable-transport properties, the verifier's mutation suite, the
+# runtimes' latency-floor regressions, the graph-family suites.
+cargo test -q --offline --workspace
+
+# Observability: a traced end-to-end run whose Chrome JSON export
+# self-validates through the in-repo parser before writing (the trace
+# analyses themselves run in the workspace tests above).
 cargo run --release --offline --example quickstart -- --trace /tmp/babelflow_trace.json
 test -s /tmp/babelflow_trace.json
 

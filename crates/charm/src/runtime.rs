@@ -17,13 +17,13 @@
 //!   balance").
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use babelflow_core::trace::{noop_sink, now_ns, SpanKind, TraceEvent, TraceSink, HOST_RANK};
 use babelflow_core::{Payload, TaskId};
-use babelflow_core::sync::{Mutex, WorkPool};
+use babelflow_core::sync::{Latch, Mutex, WorkPool};
 
 /// A message-driven parallel object hosted by the runtime.
 pub trait Chare: Send {
@@ -90,6 +90,12 @@ struct Shared {
     outputs: Mutex<BTreeMap<TaskId, Vec<Payload>>>,
     /// Retired-chare count (quiescence detection).
     retired: AtomicU64,
+    /// Chares in the array; the run is quiescent when `retired` reaches it.
+    total: u64,
+    /// Set when the last chare retires or the coordinator declares a
+    /// stall: the coordinator and the load balancer wait on it instead of
+    /// polling `retired` on a timer.
+    done: Latch,
     /// Busy nanoseconds per PE (load metric for the balancer).
     busy_ns: Vec<AtomicU64>,
     /// Message counters.
@@ -98,8 +104,6 @@ struct Shared {
     migrations: AtomicU64,
     /// Messages addressed to already-retired chares (protocol violations).
     late_msgs: AtomicU64,
-    /// Set when the coordinator tears the run down (stall or completion).
-    stopping: AtomicBool,
     /// Trace consumer shared by every PE (the no-op sink by default).
     sink: Arc<dyn TraceSink>,
     /// Cached `sink.enabled()` so hot paths pay one load, not a vcall.
@@ -254,15 +258,20 @@ impl CharmRuntime {
             pool: WorkPool::new(self.pes),
             outputs: Mutex::new(BTreeMap::new()),
             retired: AtomicU64::new(0),
+            total,
+            done: Latch::new(),
             busy_ns: (0..self.pes).map(|_| AtomicU64::new(0)).collect(),
             local_msgs: AtomicU64::new(0),
             cross_msgs: AtomicU64::new(0),
             migrations: AtomicU64::new(0),
             late_msgs: AtomicU64::new(0),
-            stopping: AtomicBool::new(false),
             sink: self.sink.clone(),
             tracing: self.sink.enabled(),
         });
+
+        if total == 0 {
+            shared.done.set();
+        }
 
         // Bootstrap messages, routed like any remote invocation.
         for (idx, src, payload) in initial {
@@ -288,33 +297,33 @@ impl CharmRuntime {
             let lb_handle = if let LoadBalance::Periodic(period) = self.lb {
                 let shared = shared.clone();
                 let pes = self.pes;
-                let total = total;
-                Some(s.spawn(move || lb_main(shared, pes, total, period)))
+                Some(s.spawn(move || lb_main(shared, pes, period)))
             } else {
                 None
             };
 
-            // Quiescence detection: wait until all chares retire, with a
-            // stall timeout.
-            let deadline_step = self.timeout;
+            // Quiescence detection: wake when the last chare retires. The
+            // latch wait is sliced only to notice a stall — no chare
+            // retiring for the whole timeout.
+            let slice = self.timeout / 4;
             let mut last_retired = 0;
             let mut last_progress = Instant::now();
             let quiesced = loop {
-                let retired = shared.retired.load(Ordering::Acquire);
-                if retired >= total {
+                if shared.done.wait_timeout(slice) {
                     break true;
                 }
+                let retired = shared.retired.load(Ordering::Acquire);
                 if retired != last_retired {
                     last_retired = retired;
                     last_progress = Instant::now();
-                } else if last_progress.elapsed() > deadline_step {
+                } else if last_progress.elapsed() > self.timeout {
                     break false;
                 }
-                std::thread::sleep(Duration::from_micros(200));
             };
 
-            // Tear down.
-            shared.stopping.store(true, Ordering::Release);
+            // Tear down; on a stall, setting the latch releases the load
+            // balancer.
+            shared.done.set();
             for pe in 0..self.pes {
                 shared.pool.push_to(pe, Directive::Stop);
             }
@@ -455,18 +464,18 @@ fn run_entry(
     if retired {
         chares.remove(&idx);
         shared.locations.lock().remove(&idx);
-        shared.retired.fetch_add(1, Ordering::AcqRel);
+        if shared.retired.fetch_add(1, Ordering::AcqRel) + 1 == shared.total {
+            shared.done.set();
+        }
     }
 }
 
 /// Periodic measurement-based load balancer: shifts chares from the
-/// busiest PE to the least busy one each period.
-fn lb_main(shared: Arc<Shared>, pes: usize, total: u64, period: Duration) {
+/// busiest PE to the least busy one each period, and exits as soon as the
+/// run is done rather than at the end of the period.
+fn lb_main(shared: Arc<Shared>, pes: usize, period: Duration) {
     let mut prev_busy = vec![0u64; pes];
-    while shared.retired.load(Ordering::Acquire) < total
-        && !shared.stopping.load(Ordering::Acquire)
-    {
-        std::thread::sleep(period);
+    while !shared.done.wait_timeout(period) {
         let busy: Vec<u64> =
             shared.busy_ns.iter().map(|b| b.load(Ordering::Relaxed)).collect();
         let delta: Vec<u64> =

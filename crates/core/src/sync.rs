@@ -198,6 +198,51 @@ impl Condvar {
     }
 }
 
+/// A one-shot event: [`Mutex`]`<bool>` + [`Condvar`].
+///
+/// Once [`set`](Latch::set), it stays set and every current and future
+/// waiter returns at once. Coordinators wait on it instead of polling a
+/// counter on a timer, so they wake on the event itself (a run's last
+/// task retiring, a stall verdict) rather than at the next tick.
+#[derive(Debug, Default)]
+pub struct Latch {
+    set: Mutex<bool>,
+    cv: Condvar,
+}
+
+impl Latch {
+    /// An unset latch.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Set the latch and wake every waiter. Idempotent.
+    pub fn set(&self) {
+        *self.set.lock() = true;
+        self.cv.notify_all();
+    }
+
+    /// Whether the latch has been set.
+    pub fn is_set(&self) -> bool {
+        *self.set.lock()
+    }
+
+    /// Block until the latch is set or `timeout` passes. Returns whether
+    /// it is set.
+    pub fn wait_timeout(&self, timeout: Duration) -> bool {
+        let deadline = std::time::Instant::now() + timeout;
+        let mut set = self.set.lock();
+        while !*set {
+            let now = std::time::Instant::now();
+            if now >= deadline {
+                break;
+            }
+            self.cv.wait_timeout(&mut set, deadline - now);
+        }
+        *set
+    }
+}
+
 /// Per-worker double-ended work queues with stealing.
 ///
 /// Each worker owns two lanes: a *pinned* lane whose items only that
@@ -457,6 +502,36 @@ mod tests {
         let start = Instant::now();
         assert!(cv.wait_timeout(&mut g, Duration::from_millis(20)));
         assert!(start.elapsed() >= Duration::from_millis(15));
+    }
+
+    #[test]
+    fn latch_wakes_waiter_on_set_not_on_timeout() {
+        let latch = Arc::new(Latch::new());
+        assert!(!latch.is_set());
+        let waiter = {
+            let latch = latch.clone();
+            std::thread::spawn(move || {
+                let start = Instant::now();
+                let set = latch.wait_timeout(Duration::from_secs(10));
+                (set, start.elapsed())
+            })
+        };
+        std::thread::sleep(Duration::from_millis(10));
+        latch.set();
+        let (set, waited) = waiter.join().unwrap();
+        assert!(set);
+        assert!(waited < Duration::from_secs(5), "woke on set, not the timeout: {waited:?}");
+        // Stays set: later waits return at once.
+        assert!(latch.is_set());
+        assert!(latch.wait_timeout(Duration::ZERO));
+    }
+
+    #[test]
+    fn latch_wait_times_out_unset() {
+        let latch = Latch::new();
+        let start = Instant::now();
+        assert!(!latch.wait_timeout(Duration::from_millis(20)));
+        assert!(start.elapsed() >= Duration::from_millis(20));
     }
 
     #[test]

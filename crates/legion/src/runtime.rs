@@ -228,6 +228,8 @@ struct SchedState {
     ready: WorkDeques<ReadyTask>,
     /// Tasks launched but not yet completed.
     outstanding: usize,
+    /// Tasks completed so far (the stall detector's progress measure).
+    completed: u64,
     shutdown: bool,
     /// Cached `sink.enabled()`, so `trigger` can stamp ready times without
     /// reaching the sink through `Inner`.
@@ -237,6 +239,10 @@ struct SchedState {
 struct Inner {
     state: Mutex<SchedState>,
     cv: Condvar,
+    /// Notified only when `outstanding` drops to zero, so the progress
+    /// monitor in [`LegionRuntime::wait_all`] wakes on completion of the
+    /// whole run and not on every task.
+    idle: Condvar,
     stats_staging_ns: AtomicU64,
     stats_exec_ns: AtomicU64,
     stats_tasks: AtomicU64,
@@ -420,10 +426,12 @@ impl LegionRuntime {
                 triggered: std::collections::HashSet::new(),
                 ready: WorkDeques::new(workers),
                 outstanding: 0,
+                completed: 0,
                 shutdown: false,
                 tracing,
             }),
             cv: Condvar::new(),
+            idle: Condvar::new(),
             stats_staging_ns: AtomicU64::new(0),
             stats_exec_ns: AtomicU64::new(0),
             stats_tasks: AtomicU64::new(0),
@@ -513,27 +521,25 @@ impl LegionRuntime {
             for w in 0..self.workers as u32 {
                 s.spawn(move || worker_main(inner, w));
             }
-            // Progress monitor.
-            let done = {
-                let mut last_outstanding = usize::MAX;
-                let mut last_progress = Instant::now();
-                loop {
-                    let st = inner.state.lock();
-                    let outstanding = st.outstanding;
-                    drop(st);
-                    if outstanding == 0 {
-                        break true;
-                    }
-                    if outstanding != last_outstanding {
-                        last_outstanding = outstanding;
-                        last_progress = Instant::now();
-                    } else if last_progress.elapsed() > timeout {
-                        break false;
-                    }
-                    std::thread::sleep(Duration::from_micros(200));
-                }
-            };
+            // Progress monitor: sleeps until the last task completes. The
+            // wait is sliced only to notice a stall — no task completing
+            // for the whole timeout.
+            let slice = timeout / 4;
             let mut st = inner.state.lock();
+            let mut last_completed = st.completed;
+            let mut last_progress = Instant::now();
+            let done = loop {
+                if st.outstanding == 0 {
+                    break true;
+                }
+                if st.completed != last_completed {
+                    last_completed = st.completed;
+                    last_progress = Instant::now();
+                } else if last_progress.elapsed() > timeout {
+                    break false;
+                }
+                inner.idle.wait_timeout(&mut st, slice);
+            };
             st.shutdown = true;
             drop(st);
             inner.cv.notify_all();
@@ -603,8 +609,13 @@ fn worker_main(inner: &Inner, worker: u32) {
             .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
         let mut st = inner.state.lock();
         st.outstanding -= 1;
+        st.completed += 1;
+        let idle = st.outstanding == 0;
         drop(st);
         inner.cv.notify_all();
+        if idle {
+            inner.idle.notify_all();
+        }
     }
 }
 

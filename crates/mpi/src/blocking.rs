@@ -414,6 +414,10 @@ fn blocking_rank_inner(
         }
         // One envelope per destination for this task's whole fan-out.
         rel.flush_sends();
+        // Between tasks, read queued acks and ack queued data, so neither
+        // side's messages outlive the retransmit timeout while this rank
+        // computes.
+        rel.poll();
     }
 
     Ok((outputs, stats))

@@ -30,6 +30,16 @@ pub use babelflow_core::fault::FaultPlan;
 /// reliable layer recovers every part together.
 pub const TAG_BATCH: u32 = u32::MAX - 1;
 
+/// Tag of the empty envelope [`RankComm::mark_finished`] pushes to every
+/// peer, so a rank blocked at the shutdown barrier wakes the moment the
+/// last peer finishes instead of on a polling tick.
+///
+/// A FIN bypasses fault injection: it takes no fault sequence number (every
+/// [`FaultPlan`] still hits the same data and ack messages) and is not
+/// counted in [`World::delivered`]. Receivers discard it — its empty body
+/// carries nothing.
+pub const TAG_FIN: u32 = u32::MAX - 2;
+
 /// Encode `parts` into one batch body: `u32 count`, then per part
 /// `u32 tag, u32 len, len bytes` (all little-endian).
 ///
@@ -270,10 +280,17 @@ impl RankComm {
     /// Idempotent. Part of the reliable layer's shutdown barrier — a rank
     /// keeps servicing (re-acking) incoming traffic until
     /// [`all_finished`](Self::all_finished), so peers never retransmit
-    /// into a torn-down endpoint.
+    /// into a torn-down endpoint. The first call also pushes a [`TAG_FIN`]
+    /// envelope to every peer to wake any rank blocked at the barrier.
     pub fn mark_finished(&self) {
-        if !self.finished_flag.replace(true) {
-            self.shared.finished.next();
+        if self.finished_flag.replace(true) {
+            return;
+        }
+        // Count before the FINs land, so a peer woken by one observes it.
+        self.shared.finished.next();
+        for dst in (0..self.n).filter(|&dst| dst != self.rank) {
+            let fin = Envelope { src: self.rank, tag: TAG_FIN, body: Bytes::new() };
+            let _ = self.shared.inboxes[dst].send(fin);
         }
     }
 
@@ -392,6 +409,29 @@ mod tests {
         assert!(!b.all_finished());
         b.mark_finished();
         assert!(a.all_finished() && b.all_finished());
+    }
+
+    #[test]
+    fn fin_wakes_peers_and_bypasses_fault_matching() {
+        // The FIN must not consume fault sequence number 0: the drop still
+        // hits the first data send, and the FIN is not counted delivered.
+        let faults = FaultPlan { drop: vec![(0, 1, 0)], ..FaultPlan::none() };
+        let mut w = World::with_faults(2, faults);
+        let a = w.endpoint(0);
+        let b = w.endpoint(1);
+        a.mark_finished();
+        a.isend(1, 0, Bytes::from_static(b"dropped"));
+        a.isend(1, 0, Bytes::from_static(b"kept"));
+        let fin = b.recv_timeout(Duration::from_millis(200)).unwrap();
+        assert_eq!((fin.src, fin.tag, fin.body.len()), (0, TAG_FIN, 0));
+        let e = b.recv_timeout(Duration::from_millis(200)).unwrap();
+        assert_eq!(e.body.as_ref(), b"kept");
+        assert!(b.try_recv().is_none());
+        assert_eq!(w.delivered(), 1, "only the kept data message counts");
+        // Idempotent: a second call sends no second FIN.
+        a.mark_finished();
+        assert!(b.try_recv().is_none());
+        assert!(a.try_recv().is_none(), "no FIN to self");
     }
 
     #[test]

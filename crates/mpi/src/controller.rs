@@ -445,6 +445,9 @@ fn rank_main_inner(
             let mut last_progress = Instant::now();
 
             while executed < local_total {
+                // Consume queued acks (before any tick can retransmit
+                // against them) and send the acks this rank owes.
+                rel.poll();
                 // Reliable layer first: deliver whatever is in order.
                 let mut newly_ready = Vec::new();
                 while let Some((src_rank, _tag, body)) = rel.pop_ready() {

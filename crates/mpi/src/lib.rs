@@ -27,7 +27,9 @@ pub mod reliable;
 pub mod wire;
 
 pub use blocking::{static_schedule, BlockingMpiController};
-pub use comm::{pack_batch, unpack_batch, Envelope, FaultPlan, RankComm, World, TAG_BATCH};
+pub use comm::{
+    pack_batch, unpack_batch, Envelope, FaultPlan, RankComm, World, TAG_BATCH, TAG_FIN,
+};
 pub use controller::{MpiController, DEFAULT_TIMEOUT};
 pub use insitu::{InSituRank, InSituWorld};
 pub use reliable::{ReliableEndpoint, BASE_RTO, TAG_ACK};

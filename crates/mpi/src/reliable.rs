@@ -41,9 +41,17 @@
 //! two-phase barrier: transmit anything still staged, drain until all own
 //! sends are acked, declare finished ([`RankComm::mark_finished`]), then
 //! linger — re-acking whatever still arrives — until the whole world is
-//! finished.
+//! finished. The linger blocks on the inbox and is woken by the
+//! [`TAG_FIN`](crate::comm::TAG_FIN) envelope of the last peer to finish,
+//! not by a polling tick.
+//!
+//! Retransmission is a failure detector, not a pacing mechanism: before
+//! any message is judged overdue, [`poll`] drains the acks already queued
+//! in the inbox, so a rank that was busy computing does not retransmit
+//! against acks it simply had not read yet.
 //!
 //! [`tick`]: ReliableEndpoint::tick
+//! [`poll`]: ReliableEndpoint::poll
 //! [`flush`]: ReliableEndpoint::flush
 //! [`flush_sends`]: ReliableEndpoint::flush_sends
 
@@ -297,7 +305,9 @@ impl ReliableEndpoint {
             return;
         }
         let Some((seq, body)) = unframe(&body) else {
-            return; // unframeable garbage: drop (a retransmit will follow)
+            // Unframeable: garbage (a retransmit will follow) or the empty
+            // body of a shutdown FIN. Drop either way.
+            return;
         };
         let expected = self.next_expected[src];
         if seq < expected {
@@ -336,6 +346,16 @@ impl ReliableEndpoint {
         let seqs = std::mem::take(&mut self.ack_stage[src]);
         let parts: Vec<(u32, Bytes)> = seqs.iter().map(|&s| (TAG_ACK, ack_body(s))).collect();
         self.transmit(src, parts);
+    }
+
+    /// Non-blocking progress: [`handle`](Self::handle) every envelope
+    /// already queued in the inbox. Acks that arrived while this rank was
+    /// busy are consumed (so [`tick`](Self::tick) will not retransmit
+    /// against them) and the acks this rank owes go out at once.
+    pub fn poll(&mut self) {
+        while let Some(env) = self.ep.try_recv() {
+            self.handle(env);
+        }
     }
 
     /// Next in-order message, if any: `(src_rank, tag, body)`.
@@ -396,26 +416,37 @@ impl ReliableEndpoint {
     /// finished. Returns false if the deadline expired first (a peer died
     /// without marking itself finished); the caller's own results are
     /// complete either way.
+    ///
+    /// Phase 1 drains queued acks ([`poll`](Self::poll)) before every
+    /// check and retransmit tick; its bounded receive wakes on the next
+    /// arrival, and its bound only paces the retransmit clock. Phase 2
+    /// blocks until the deadline and wakes on each envelope, the last
+    /// peer's [`TAG_FIN`](crate::comm::TAG_FIN) included.
     pub fn flush(&mut self, stall: Duration) -> bool {
         self.flush_sends();
         let deadline = Instant::now() + stall;
-        let poll = Duration::from_millis(2);
-        while !self.all_acked() {
+        let rto_check = Duration::from_millis(2);
+        loop {
+            self.poll();
+            if self.all_acked() {
+                break;
+            }
             if Instant::now() >= deadline {
                 self.mark_finished();
                 return false;
             }
             self.tick();
-            if let Some(env) = self.ep.recv_timeout(poll) {
+            if let Some(env) = self.ep.recv_timeout(rto_check) {
                 self.handle(env);
             }
         }
         self.mark_finished();
         while !self.ep.all_finished() {
-            if Instant::now() >= deadline {
+            let now = Instant::now();
+            if now >= deadline {
                 return false;
             }
-            if let Some(env) = self.ep.recv_timeout(poll) {
+            if let Some(env) = self.ep.recv_timeout(deadline - now) {
                 self.handle(env);
             }
         }
@@ -529,6 +560,28 @@ mod tests {
         };
         let (a, b) = exchange(faults, 12);
         assert!(a.retransmits + b.retransmits > 0);
+    }
+
+    #[test]
+    fn flush_reads_queued_acks_before_retransmitting() {
+        // Rank 1 acks at once, but rank 0 does not read its inbox until
+        // long after BASE_RTO. The queued ack must settle the message
+        // before flush judges anything overdue.
+        let mut w = World::new(2);
+        let mut eps: Vec<ReliableEndpoint> =
+            w.endpoints().into_iter().map(ReliableEndpoint::new).collect();
+        let mut b = eps.pop().unwrap();
+        let mut a = eps.pop().unwrap();
+        a.send(1, 7, Bytes::from_static(b"x"));
+        a.flush_sends();
+        let env = b.ep.recv_timeout(Duration::from_millis(200)).unwrap();
+        b.handle(env);
+        assert_eq!(b.pop_ready().map(|(src, tag, _)| (src, tag)), Some((0, 7)));
+        std::thread::sleep(BASE_RTO * 2);
+        b.mark_finished();
+        assert!(a.flush(Duration::from_secs(5)));
+        assert_eq!(a.stats.retransmits, 0, "{:?}", a.stats);
+        assert_eq!(a.envelopes_sent, 1);
     }
 
     #[test]
