@@ -40,3 +40,8 @@ cargo run --release --offline -p babelflow-bench --bin perf_smoke -- --check
 # happens-before checker, and a pure reduction must replay
 # byte-identically under permuted schedules (see DESIGN.md §13).
 cargo run --release --offline -p babelflow-bench --bin graph_lint
+
+# The repository benchmark (perfbench/, its own workspace) builds against
+# the core API: its tests must pass too, so an API change that breaks the
+# benchmark fails here rather than when the benchmark is run.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml

@@ -15,15 +15,16 @@
 //! [`ShardPlan`] built once up front, so chare construction and routing
 //! never re-query the procedural graph.
 
+use std::convert::Infallible;
 use std::sync::Arc;
 use std::time::Duration;
 
-use babelflow_core::fault::{catch_invoke, MAX_TASK_RETRIES};
-use babelflow_core::sync::Counter;
-use babelflow_core::trace::{now_ns, SpanKind, TraceEvent, TraceSink};
+use babelflow_core::exec::{route, run_task, FirstError, Hop};
+use babelflow_core::sync::{Counter, Latch};
+use babelflow_core::trace::TraceSink;
 use babelflow_core::{
     Callback, Controller, ControllerError, InitialInputs, Payload, PlanBuffer, Registry, Result,
-    RunReport, ShardPlan, TaskGraph, TaskId, TaskMap,
+    RunReport, ShardPlan, TaskId,
 };
 
 use crate::runtime::{Chare, ChareCtx, CharmRuntime, LoadBalance};
@@ -38,9 +39,6 @@ pub struct CharmController {
     pub lb: LoadBalance,
     /// Quiescence-stall timeout.
     pub timeout: Duration,
-    /// Prebuilt execution plan. When absent, one is built (and its graph
-    /// queries charged to `PerfStats::task_queries`) on each run.
-    pub plan: Option<Arc<ShardPlan>>,
 }
 
 impl CharmController {
@@ -51,7 +49,6 @@ impl CharmController {
             pes,
             lb: LoadBalance::Periodic(Duration::from_millis(50)),
             timeout: Duration::from_secs(10),
-            plan: None,
         }
     }
 
@@ -66,12 +63,6 @@ impl CharmController {
         self.timeout = timeout;
         self
     }
-
-    /// Execute from a prebuilt plan instead of querying the graph.
-    pub fn with_plan(mut self, plan: Arc<ShardPlan>) -> Self {
-        self.plan = Some(plan);
-        self
-    }
 }
 
 /// A task graph node hosted as a chare: buffers inputs, executes its
@@ -80,100 +71,52 @@ struct TaskChare {
     buffer: PlanBuffer,
     plan: Arc<ShardPlan>,
     callback: Callback,
-    error: ErrorSink,
+    /// The run's first failure; setting it ends the run at once.
+    errors: Arc<FirstError>,
     /// Shared retry counter, surfaced as `RunStats::recovery.retries`.
     retries: Arc<Counter>,
     /// Shared payload-clone counter, surfaced as `PerfStats::payload_clones`.
     clones: Arc<Counter>,
 }
 
-type ErrorSink = std::sync::Arc<babelflow_core::sync::Mutex<Option<ControllerError>>>;
-
 impl Chare for TaskChare {
     fn on_message(&mut self, src: TaskId, payload: Payload, ctx: &mut ChareCtx<'_>) -> bool {
         let ix = self.buffer.ix();
         let pt = self.plan.task(ix);
         if !self.buffer.deliver(pt, src, payload) {
-            let mut slot = self.error.lock();
-            if slot.is_none() {
-                *slot = Some(ControllerError::Runtime(format!(
-                    "unexpected delivery {src} -> {}",
-                    pt.id()
-                )));
-            }
-            // Retire so the run drains instead of stalling on a poisoned
-            // chare; the error sink carries the real failure out.
+            // Retire; the error slot carries the failure out.
+            self.errors
+                .set(ControllerError::Runtime(format!("unexpected delivery {src} -> {}", pt.id())));
             return true;
         }
         if !self.buffer.ready() {
             return false;
         }
         // Execute: translate the chare id back into a task and run it.
+        // Chares re-execute a faulted entry method in place, so recovery
+        // needs no cooperation from the runtime's messaging layer.
         let buffer = std::mem::replace(&mut self.buffer, PlanBuffer::new(&self.plan, ix));
-        let inputs = buffer.take();
-        let tracing = ctx.tracing();
-        // Chares re-execute a faulted entry method in place: inputs are
-        // retained until the callback succeeds, so recovery needs no
-        // cooperation from the runtime's messaging layer.
-        let mut attempts = 0u32;
-        let outputs = loop {
-            attempts += 1;
-            self.clones.fetch_add(inputs.len() as u64);
-            let exec_start = if tracing { now_ns() } else { 0 };
-            let result = catch_invoke(&self.callback, inputs.clone(), pt.id());
-            if tracing {
-                let end = now_ns();
-                let (pe, sink) = (ctx.pe() as u32, ctx.trace_sink());
-                sink.record(
-                    TraceEvent::span(SpanKind::Callback, exec_start, end, pe, 0)
-                        .with_task(pt.id(), pt.callback()),
-                );
-                // The runtime sees only messages; the per-attempt task span
-                // is the chare's to emit, on the entry method that fired.
-                sink.record(
-                    TraceEvent::span(SpanKind::TaskExec, exec_start, end, pe, 0)
-                        .with_task(pt.id(), pt.callback()),
-                );
-            }
-            match result {
-                Ok(outputs) => break outputs,
-                Err(reason) => {
-                    if attempts > MAX_TASK_RETRIES {
-                        let mut slot = self.error.lock();
-                        if slot.is_none() {
-                            *slot = Some(ControllerError::TaskError {
-                                task: pt.id(),
-                                attempts,
-                                reason,
-                            });
-                        }
-                        return true;
-                    }
-                    self.retries.next();
-                }
+        let sink = ctx.trace_sink();
+        let ran = match run_task(pt, &self.callback, &buffer.take(), sink, ctx.pe() as u32, 0) {
+            Ok(ran) => ran,
+            Err(err) => {
+                self.errors.set(err);
+                return true;
             }
         };
-        if outputs.len() != pt.fan_out() {
-            let mut slot = self.error.lock();
-            if slot.is_none() {
-                *slot = Some(ControllerError::BadOutputArity {
-                    task: pt.id(),
-                    expected: pt.fan_out(),
-                    got: outputs.len(),
-                });
-            }
-            return true;
+        if ran.retries > 0 {
+            self.retries.fetch_add(ran.retries);
         }
-        for (slot, payload) in outputs.into_iter().enumerate() {
-            for route in &pt.routes[slot] {
-                self.clones.next();
-                if route.is_external() {
-                    ctx.emit_external(pt.id(), payload.clone());
-                } else {
-                    ctx.send(route.dst.0, pt.id(), payload.clone());
-                }
+        let Ok(routed) = route(pt, ran.outputs, None, |hop| {
+            match hop {
+                Hop::External(p) => ctx.emit_external(pt.id(), p),
+                Hop::Local(dst, p) => ctx.send(dst.0, pt.id(), p),
+                Hop::Remote(..) => unreachable!("chares share one address space"),
             }
-        }
+            Ok::<(), Infallible>(())
+        });
+        // One shared-counter update per task: PEs contend for it.
+        self.clones.fetch_add(ran.clones + routed);
         true
     }
 
@@ -183,31 +126,26 @@ impl Chare for TaskChare {
 }
 
 impl Controller for CharmController {
-    fn run_traced(
+    fn execute(
         &mut self,
-        graph: &dyn TaskGraph,
-        map: &dyn TaskMap, // placement ignored; only used if a plan must be built
+        plan: &Arc<ShardPlan>,
         registry: &Registry,
         initial: InitialInputs,
         sink: Arc<dyn TraceSink>,
     ) -> Result<RunReport> {
-        let (plan, built_queries) = match &self.plan {
-            Some(p) => (p.clone(), 0),
-            None => {
-                let p = Arc::new(ShardPlan::build(graph, map));
-                let q = p.build_queries();
-                (p, q)
-            }
-        };
         plan.preflight(registry, &initial)?;
 
         let indices: Vec<u64> = plan.tasks().iter().map(|pt| pt.id().0).collect();
-        let error: ErrorSink = Default::default();
+        let done = Arc::new(Latch::new());
+        let errors = {
+            let done = done.clone();
+            Arc::new(FirstError::waking(move || done.set()))
+        };
         let retries = Arc::new(Counter::new(0));
         let clones = Arc::new(Counter::new(0));
 
         let factory = {
-            let error = error.clone();
+            let errors = errors.clone();
             let retries = retries.clone();
             let clones = clones.clone();
             let plan = plan.clone();
@@ -220,7 +158,7 @@ impl Controller for CharmController {
                     buffer: PlanBuffer::new(&plan, ix),
                     plan: plan.clone(),
                     callback,
-                    error: error.clone(),
+                    errors: errors.clone(),
                     retries: retries.clone(),
                     clones: clones.clone(),
                 })
@@ -238,21 +176,19 @@ impl Controller for CharmController {
             .with_lb(self.lb)
             .with_timeout(self.timeout)
             .with_sink(sink);
-        let result = rt.run(&indices, factory, bootstrap);
+        let result = rt.run_until(&indices, factory, bootstrap, done);
 
-        if let Some(err) = error.lock().take() {
+        if let Some(err) = errors.get() {
             return Err(err);
         }
 
         match result {
             Ok((outputs, stats)) => {
-                let mut report = RunReport::default();
-                report.outputs = outputs;
+                let mut report = RunReport { outputs, ..RunReport::default() };
                 report.stats.tasks_executed = stats.retired;
                 report.stats.local_messages = stats.local_messages;
                 report.stats.remote_messages = stats.cross_pe_messages;
                 report.stats.recovery.retries = retries.get();
-                report.stats.perf.task_queries = built_queries;
                 report.stats.perf.payload_clones = clones.get();
                 Ok(report)
             }

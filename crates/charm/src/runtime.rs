@@ -92,10 +92,11 @@ struct Shared {
     retired: AtomicU64,
     /// Chares in the array; the run is quiescent when `retired` reaches it.
     total: u64,
-    /// Set when the last chare retires or the coordinator declares a
-    /// stall: the coordinator and the load balancer wait on it instead of
-    /// polling `retired` on a timer.
-    done: Latch,
+    /// Set when the last chare retires, the coordinator declares a stall,
+    /// or the caller of [`CharmRuntime::run_until`] stops the run: the
+    /// coordinator and the load balancer wait on it instead of polling
+    /// `retired` on a timer.
+    done: Arc<Latch>,
     /// Busy nanoseconds per PE (load metric for the balancer).
     busy_ns: Vec<AtomicU64>,
     /// Message counters.
@@ -188,6 +189,10 @@ pub enum LoadBalance {
     Periodic(Duration),
 }
 
+/// What [`CharmRuntime::run`] returns: the external outputs and run
+/// statistics, or the indices of the chares that never retired.
+type RunOutcome = Result<(BTreeMap<TaskId, Vec<Payload>>, CharmStats), Vec<u64>>;
+
 /// The chare-array runtime.
 pub struct CharmRuntime {
     /// Number of processing elements (worker threads).
@@ -249,6 +254,21 @@ impl CharmRuntime {
     where
         F: Fn(u64) -> Box<dyn Chare> + Send + Sync,
     {
+        self.run_until(indices, factory, initial, Arc::new(Latch::new()))
+    }
+
+    /// [`run`](Self::run), but the run also ends, as if quiescent, once
+    /// `done` is set from outside (a chare's failure does that).
+    pub(crate) fn run_until<F>(
+        &self,
+        indices: &[u64],
+        factory: F,
+        initial: Vec<(u64, TaskId, Payload)>,
+        done: Arc<Latch>,
+    ) -> RunOutcome
+    where
+        F: Fn(u64) -> Box<dyn Chare> + Send + Sync,
+    {
         let total = indices.len() as u64;
         let locations: HashMap<u64, usize> =
             indices.iter().enumerate().map(|(i, &idx)| (idx, i % self.pes)).collect();
@@ -259,7 +279,7 @@ impl CharmRuntime {
             outputs: Mutex::new(BTreeMap::new()),
             retired: AtomicU64::new(0),
             total,
-            done: Latch::new(),
+            done,
             busy_ns: (0..self.pes).map(|_| AtomicU64::new(0)).collect(),
             local_msgs: AtomicU64::new(0),
             cross_msgs: AtomicU64::new(0),

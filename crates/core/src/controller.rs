@@ -2,10 +2,13 @@
 //!
 //! "All runtime controllers share the same interface by deriving from the
 //! same base class to make switching between controllers easy." In Rust the
-//! base class is the [`Controller`] trait: every backend — serial, MPI-like,
-//! Charm++-like, Legion-like, and the discrete-event simulator — implements
-//! `run`, so an algorithm written once against a [`TaskGraph`] executes on
-//! any of them unmodified.
+//! base class is the [`Controller`] trait: every runtime backend — serial,
+//! MPI-like, Charm++-like and Legion-like — implements
+//! [`execute`](Controller::execute) over a [`ShardPlan`], and the provided
+//! [`run`](Controller::run) builds that plan from a [`TaskGraph`] and a
+//! [`TaskMap`], so an algorithm written once executes on any of them
+//! unmodified. The per-task body all of them share lives in
+//! [`exec`](crate::exec).
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -14,6 +17,7 @@ use crate::graph::TaskGraph;
 use crate::ids::{CallbackId, TaskId};
 use crate::lint::VerifyReport;
 use crate::payload::Payload;
+use crate::plan::ShardPlan;
 use crate::registry::Registry;
 use crate::taskmap::TaskMap;
 use crate::trace::{noop_sink, TraceSink};
@@ -80,8 +84,8 @@ impl std::fmt::Display for RunStats {
 
 /// Deterministic fast-path counters.
 ///
-/// The build machines this repo is benchmarked on have a single core, so
-/// wall-clock timings are too noisy to gate on. These counters are exact
+/// The build machines this repo is benchmarked on have two cores shared
+/// with other jobs, so wall-clock timings are too noisy to gate on. These counters are exact
 /// and reproducible: they measure the *work the controller avoided* — how
 /// often the procedural graph was re-queried, how many payload handles
 /// were cloned for routing, how many deliveries had to allocate, and how
@@ -173,7 +177,7 @@ impl std::fmt::Display for RecoveryStats {
 /// Payload type mismatches inside callbacks surface as panics (they are
 /// programming errors); these variants cover what a controller can detect
 /// up front or observe during execution.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum ControllerError {
     /// The structural lint found `Error`-level diagnostics, so the graph
     /// cannot execute correctly; the report lists every finding with its
@@ -259,9 +263,26 @@ pub type Result<T> = std::result::Result<T, ControllerError>;
 
 /// A runtime backend capable of executing task graphs.
 pub trait Controller {
-    /// Execute `graph` with tasks placed by `map`, implementations from
-    /// `registry`, and external inputs `initial`. Blocks until the dataflow
-    /// drains and returns the external outputs.
+    /// Execute `plan` with implementations from `registry` and external
+    /// inputs `initial`, emitting [`TraceEvent`]s into `sink`. Blocks until
+    /// the dataflow drains and returns the external outputs.
+    ///
+    /// Every backend emits the same trace schema (task spans, callback
+    /// spans, message send/recv, queue waits), so traces from different
+    /// runtimes are directly comparable; a disabled sink such as
+    /// [`NoopSink`](crate::trace::NoopSink) costs nothing.
+    ///
+    /// [`TraceEvent`]: crate::trace::TraceEvent
+    fn execute(
+        &mut self,
+        plan: &Arc<ShardPlan>,
+        registry: &Registry,
+        initial: InitialInputs,
+        sink: Arc<dyn TraceSink>,
+    ) -> Result<RunReport>;
+
+    /// Execute `graph` with tasks placed by `map`: like
+    /// [`run_traced`](Self::run_traced) with tracing off.
     fn run(
         &mut self,
         graph: &dyn TaskGraph,
@@ -272,14 +293,9 @@ pub trait Controller {
         self.run_traced(graph, map, registry, initial, noop_sink())
     }
 
-    /// Like [`run`](Self::run), but emit [`TraceEvent`]s describing the
-    /// execution (task spans, callback spans, message send/recv, queue
-    /// waits) into `sink`. Every backend emits the same schema, so traces
-    /// from different runtimes are directly comparable. Pass a
-    /// [`NoopSink`](crate::trace::NoopSink) (what [`run`](Self::run)
-    /// does) to opt out at zero cost.
-    ///
-    /// [`TraceEvent`]: crate::trace::TraceEvent
+    /// Build the [`ShardPlan`] of `graph` under `map`, then
+    /// [`execute`](Self::execute) it. The build's procedural graph queries
+    /// are charged to [`PerfStats::task_queries`].
     fn run_traced(
         &mut self,
         graph: &dyn TaskGraph,
@@ -287,10 +303,62 @@ pub trait Controller {
         registry: &Registry,
         initial: InitialInputs,
         sink: Arc<dyn TraceSink>,
-    ) -> Result<RunReport>;
+    ) -> Result<RunReport> {
+        let plan = Arc::new(ShardPlan::build(graph, map));
+        let mut report = self.execute(&plan, registry, initial, sink)?;
+        report.stats.perf.task_queries += plan.build_queries();
+        Ok(report)
+    }
+
+    /// Bind a prebuilt plan: the returned controller's
+    /// [`run`](Self::run) and [`run_traced`](Self::run_traced) execute
+    /// `plan` instead of building one, so repeated runs of one dataflow
+    /// make zero procedural graph queries. `plan` must have been built from
+    /// the graph and map those calls pass.
+    fn with_plan(self, plan: Arc<ShardPlan>) -> Planned<Self>
+    where
+        Self: Sized,
+    {
+        Planned { inner: self, plan }
+    }
 
     /// Human-readable backend name (used in reports and benchmarks).
     fn name(&self) -> &'static str;
+}
+
+/// A controller bound to a prebuilt [`ShardPlan`]; see
+/// [`Controller::with_plan`].
+#[derive(Debug, Clone)]
+pub struct Planned<C> {
+    inner: C,
+    plan: Arc<ShardPlan>,
+}
+
+impl<C: Controller> Controller for Planned<C> {
+    fn execute(
+        &mut self,
+        plan: &Arc<ShardPlan>,
+        registry: &Registry,
+        initial: InitialInputs,
+        sink: Arc<dyn TraceSink>,
+    ) -> Result<RunReport> {
+        self.inner.execute(plan, registry, initial, sink)
+    }
+
+    fn run_traced(
+        &mut self,
+        _graph: &dyn TaskGraph,
+        _map: &dyn TaskMap,
+        registry: &Registry,
+        initial: InitialInputs,
+        sink: Arc<dyn TraceSink>,
+    ) -> Result<RunReport> {
+        self.inner.execute(&self.plan, registry, initial, sink)
+    }
+
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
 }
 
 /// Validate registry bindings and initial inputs before a run; shared by

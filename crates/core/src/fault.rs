@@ -10,7 +10,8 @@
 //!   [`Registry`] level, so every backend is poisoned identically), and
 //!   worker death (consumed by the asynchronous MPI controller's pool) —
 //!   plus seeded random schedule generation for the conformance suite;
-//! * the recovery helpers controllers build retry loops from:
+//! * the recovery helpers the shared executor
+//!   ([`run_task`](crate::exec::run_task)) builds its retry loop from:
 //!   [`catch_invoke`] (one guarded callback attempt) and
 //!   [`MAX_TASK_RETRIES`] (how many re-executions a poisoned task gets
 //!   before it surfaces as
@@ -192,9 +193,9 @@ pub fn quiet_panic_hook() {
 
 /// One guarded callback attempt: invoke `cb` and convert an unwind into
 /// `Err(message)` so a poisoned task becomes a retried task instead of a
-/// crashed worker thread. Controllers clone the inputs per attempt (tasks
-/// are idempotent, inputs are cheap shared handles) and loop up to
-/// [`MAX_TASK_RETRIES`] times.
+/// crashed worker thread. [`run_task`](crate::exec::run_task) clones the
+/// inputs per attempt (tasks are idempotent, inputs are cheap shared
+/// handles) and loops up to [`MAX_TASK_RETRIES`] times.
 pub fn catch_invoke(
     cb: &Callback,
     inputs: Vec<Payload>,

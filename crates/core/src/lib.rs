@@ -79,10 +79,10 @@ pub use buffer::{Bytes, BytesMut};
 pub use codec::{DecodeError, Decoder, Encoder};
 pub use compose::{ChainGraph, Link, OffsetGraph};
 pub use controller::{
-    preflight, Controller, ControllerError, InitialInputs, PerfStats, RecoveryStats, Result,
-    RunReport, RunStats,
+    preflight, Controller, ControllerError, InitialInputs, PerfStats, Planned, RecoveryStats,
+    Result, RunReport, RunStats,
 };
-pub use exec::InputBuffer;
+pub use exec::{route, run_task, Buffers, Executed, FirstError, Hop};
 pub use fault::{
     catch_invoke, inject_panics, quiet_panic_hook, FaultPlan, MAX_TASK_RETRIES, PANIC_MARKER,
 };

@@ -9,16 +9,13 @@
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 
-use crate::controller::{
-    Controller, ControllerError, InitialInputs, Result, RunReport, RunStats,
-};
-use crate::fault::{catch_invoke, MAX_TASK_RETRIES};
+use crate::controller::{Controller, ControllerError, InitialInputs, Result, RunReport};
+use crate::exec::{route, run_task, Buffers, Hop};
 use crate::graph::TaskGraph;
 use crate::ids::TaskId;
 use crate::payload::Payload;
-use crate::plan::{PlanBuffer, ShardPlan};
+use crate::plan::ShardPlan;
 use crate::registry::Registry;
-use crate::taskmap::TaskMap;
 use crate::trace::{now_ns, SpanKind, TraceEvent, TraceSink};
 
 /// Single-threaded, deterministic task-graph executor.
@@ -27,76 +24,30 @@ use crate::trace::{now_ns, SpanKind, TraceEvent, TraceSink};
 /// order of readiness (ties broken by task id at start-up), which yields a
 /// valid topological order of the dataflow.
 #[derive(Debug, Default, Clone)]
-pub struct SerialController {
-    plan: Option<Arc<ShardPlan>>,
-}
+pub struct SerialController;
 
 impl SerialController {
     /// Create a serial controller.
     pub fn new() -> Self {
-        SerialController::default()
-    }
-
-    /// Reuse a prebuilt [`ShardPlan`] instead of building one per run.
-    /// Repeated runs of the same dataflow then make zero procedural
-    /// `task()` queries.
-    pub fn with_plan(mut self, plan: Arc<ShardPlan>) -> Self {
-        self.plan = Some(plan);
-        self
+        SerialController
     }
 }
 
 impl Controller for SerialController {
-    fn run_traced(
+    fn execute(
         &mut self,
-        graph: &dyn TaskGraph,
-        map: &dyn TaskMap,
+        plan: &Arc<ShardPlan>,
         registry: &Registry,
         initial: InitialInputs,
         sink: Arc<dyn TraceSink>,
     ) -> Result<RunReport> {
-        let mut stats = RunStats::default();
-        let plan = match &self.plan {
-            Some(p) => p.clone(),
-            None => {
-                let p = Arc::new(ShardPlan::build(graph, map));
-                stats.perf.task_queries += p.build_queries();
-                p
-            }
-        };
         plan.preflight(registry, &initial)?;
         let tracing = sink.enabled();
+        let mut buffers = Buffers::new(plan, 0..plan.len() as u32, initial)?;
 
-        let mut ids: Vec<TaskId> = plan.tasks().iter().map(|pt| pt.id()).collect();
-        ids.sort();
-
-        let mut states: HashMap<TaskId, PlanBuffer> = ids
-            .iter()
-            .map(|&id| {
-                let ix = plan.index_of(id).expect("plan indexes its own ids");
-                (id, PlanBuffer::new(&plan, ix))
-            })
-            .collect();
-
-        // Deliver external inputs, then seed the ready queue in id order so
-        // execution order is reproducible.
-        for (&id, payloads) in &initial {
-            let st = states.get_mut(&id).ok_or_else(|| {
-                ControllerError::Runtime(format!("initial input for unknown task {id}"))
-            })?;
-            let pt = plan.task(st.ix());
-            for p in payloads {
-                stats.perf.payload_clones += 1;
-                if !st.deliver(pt, TaskId::EXTERNAL, p.clone()) {
-                    return Err(ControllerError::Runtime(format!(
-                        "too many initial inputs for task {id}"
-                    )));
-                }
-            }
-        }
-
-        let mut queue: VecDeque<TaskId> =
-            ids.iter().copied().filter(|id| states[id].ready()).collect();
+        // Seed the ready queue in id order so execution order is
+        // reproducible.
+        let mut queue: VecDeque<TaskId> = buffers.ready().into();
         // When a task entered the ready queue, for queue-wait spans.
         let mut ready_at: HashMap<TaskId, u64> = HashMap::new();
         if tracing {
@@ -105,122 +56,57 @@ impl Controller for SerialController {
         }
 
         let mut report = RunReport::default();
-
+        let stats = &mut report.stats;
         while let Some(id) = queue.pop_front() {
-            let st = states.remove(&id).expect("queued task has state");
-            let pt = plan.task(st.ix());
-            let exec_start = if tracing { now_ns() } else { 0 };
+            let (ix, inputs) = buffers.take(id).expect("queued task is pending");
+            let pt = plan.task(ix);
             if tracing {
+                let exec_start = now_ns();
                 let ready = ready_at.remove(&id).unwrap_or(exec_start);
                 sink.record(
                     TraceEvent::span(SpanKind::QueueWait, ready, exec_start, 0, 0)
                         .with_task(id, pt.callback()),
                 );
             }
-            let inputs: Vec<Payload> = st.take();
             let cb = registry.get(pt.callback()).expect("preflight checked bindings");
-            // Tasks are idempotent, so a panicking callback is caught and
-            // re-executed from the same (retained) inputs instead of
-            // unwinding through the run loop. Failed attempts emit their
-            // own Callback + TaskExec span pair so retries show in traces.
-            let mut attempts = 0u32;
-            let outputs = loop {
-                attempts += 1;
-                let cb_start = if tracing { now_ns() } else { 0 };
-                stats.perf.payload_clones += inputs.len() as u64;
-                match catch_invoke(cb, inputs.clone(), id) {
-                    Ok(outs) => {
-                        if tracing {
-                            sink.record(
-                                TraceEvent::span(SpanKind::Callback, cb_start, now_ns(), 0, 0)
-                                    .with_task(id, pt.callback()),
-                            );
-                        }
-                        break outs;
-                    }
-                    Err(reason) => {
-                        if tracing {
-                            let end = now_ns();
-                            sink.record(
-                                TraceEvent::span(SpanKind::Callback, cb_start, end, 0, 0)
-                                    .with_task(id, pt.callback()),
-                            );
-                            sink.record(
-                                TraceEvent::span(SpanKind::TaskExec, cb_start, end, 0, 0)
-                                    .with_task(id, pt.callback()),
-                            );
-                        }
-                        if attempts > MAX_TASK_RETRIES {
-                            return Err(ControllerError::TaskError { task: id, attempts, reason });
-                        }
-                        stats.recovery.retries += 1;
-                    }
-                }
-            };
+            let ran = run_task(pt, cb, &inputs, &*sink, 0, 0)?;
             stats.tasks_executed += 1;
+            stats.recovery.retries += ran.retries;
+            stats.perf.payload_clones += ran.clones;
 
-            if outputs.len() != pt.fan_out() {
-                return Err(ControllerError::BadOutputArity {
-                    task: id,
-                    expected: pt.fan_out(),
-                    got: outputs.len(),
-                });
-            }
-
-            for (slot, payload) in outputs.into_iter().enumerate() {
-                for route in &pt.routes[slot] {
-                    let dst = route.dst;
-                    if dst.is_external() {
-                        stats.perf.payload_clones += 1;
-                        report.outputs.entry(id).or_insert_with(Vec::new).push(payload.clone());
-                        continue;
-                    }
-                    let send_start = if tracing { now_ns() } else { 0 };
-                    let dst_state = states.get_mut(&dst).ok_or_else(|| {
-                        ControllerError::Runtime(format!(
-                            "task {id} sent to unknown or already-executed task {dst}"
-                        ))
-                    })?;
-                    let dst_pt = plan.task(dst_state.ix());
-                    stats.perf.payload_clones += 1;
-                    if !dst_state.deliver(dst_pt, id, payload.clone()) {
-                        return Err(ControllerError::Runtime(format!(
-                            "task {dst} has no free input slot for producer {id}"
-                        )));
-                    }
-                    stats.local_messages += 1;
-                    if tracing {
-                        // In-memory move: no serialization, bytes = 0.
-                        sink.record(
-                            TraceEvent::span(SpanKind::MsgSend, send_start, now_ns(), 0, 0)
-                                .with_task(id, pt.callback())
-                                .with_message(dst, 0),
-                        );
-                    }
-                    if dst_state.ready() {
+            let outputs = &mut report.outputs;
+            let clones = route(pt, ran.outputs, None, |hop| {
+                match hop {
+                    Hop::External(p) => outputs.entry(id).or_default().push(p),
+                    Hop::Local(dst, p) => {
+                        let send_start = if tracing { now_ns() } else { 0 };
+                        let ready = buffers.deliver(id, dst, p)?;
+                        stats.local_messages += 1;
                         if tracing {
-                            ready_at.insert(dst, now_ns());
+                            // In-memory move: no serialization, bytes = 0.
+                            sink.record(
+                                TraceEvent::span(SpanKind::MsgSend, send_start, now_ns(), 0, 0)
+                                    .with_task(id, pt.callback())
+                                    .with_message(dst, 0),
+                            );
                         }
-                        queue.push_back(dst);
+                        if ready {
+                            if tracing {
+                                ready_at.insert(dst, now_ns());
+                            }
+                            queue.push_back(dst);
+                        }
                     }
+                    Hop::Remote(..) => unreachable!("serial routes are all in memory"),
                 }
-            }
-
-            if tracing {
-                sink.record(
-                    TraceEvent::span(SpanKind::TaskExec, exec_start, now_ns(), 0, 0)
-                        .with_task(id, pt.callback()),
-                );
-            }
+                Ok::<(), ControllerError>(())
+            })?;
+            stats.perf.payload_clones += clones;
         }
 
-        if !states.is_empty() {
-            let mut pending: Vec<TaskId> = states.keys().copied().collect();
-            pending.sort();
-            return Err(ControllerError::Deadlock { pending });
+        if !buffers.is_empty() {
+            return Err(ControllerError::Deadlock { pending: buffers.pending() });
         }
-
-        report.stats = stats;
         Ok(report)
     }
 
@@ -328,8 +214,7 @@ mod tests {
         // deadlock, for callers who want the old behavior.
         let plan = Arc::new(ShardPlan::build(&g, &map).lenient());
         let err = SerialController::new()
-            .with_plan(plan)
-            .run(&g, &map, &diamond_registry(), HashMap::new())
+            .execute(&plan, &diamond_registry(), HashMap::new(), crate::trace::noop_sink())
             .unwrap_err();
         assert!(matches!(err, ControllerError::Deadlock { pending } if pending.len() == 4));
     }

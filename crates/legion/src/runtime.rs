@@ -28,7 +28,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use babelflow_core::trace::{noop_sink, now_ns, SpanKind, TraceEvent, TraceSink, HOST_RANK};
+use babelflow_core::trace::{
+    noop_sink, now_ns, SpanKind, TraceEvent, TraceSink, CONTROL_THREAD, HOST_RANK,
+};
 use babelflow_core::Payload;
 use babelflow_core::sync::{Condvar, Mutex, WorkDeques};
 
@@ -230,6 +232,9 @@ struct SchedState {
     outstanding: usize,
     /// Tasks completed so far (the stall detector's progress measure).
     completed: u64,
+    /// Set through [`LegionRuntime::stopper`]: the run has failed, so
+    /// [`LegionRuntime::wait_all`] ends through its stall path at once.
+    stopped: bool,
     shutdown: bool,
     /// Cached `sink.enabled()`, so `trigger` can stamp ready times without
     /// reaching the sink through `Inner`.
@@ -261,9 +266,18 @@ pub struct LegionRuntime {
 /// Handle passed to executing task bodies.
 pub struct TaskCtx<'a> {
     inner: &'a Inner,
+    /// The worker thread running the body; `CONTROL_THREAD` for a
+    /// must-epoch task, which runs on a thread of its own.
+    worker: u32,
 }
 
 impl TaskCtx<'_> {
+    /// The worker thread running this task, the `thread` of its trace
+    /// spans.
+    pub(crate) fn worker(&self) -> u32 {
+        self.worker
+    }
+
     /// Read the physical instance of a region declared with `Read`.
     ///
     /// # Panics
@@ -427,6 +441,7 @@ impl LegionRuntime {
                 ready: WorkDeques::new(workers),
                 outstanding: 0,
                 completed: 0,
+                stopped: false,
                 shutdown: false,
                 tracing,
             }),
@@ -494,7 +509,7 @@ impl LegionRuntime {
                 self.inner.stats_tasks.fetch_add(1, Ordering::Relaxed);
                 let inner = self.inner.clone();
                 s.spawn(move || {
-                    let ctx = TaskCtx { inner: &inner };
+                    let ctx = TaskCtx { inner: &inner, worker: CONTROL_THREAD };
                     (t.body)(&ctx);
                 });
             }
@@ -532,6 +547,9 @@ impl LegionRuntime {
                 if st.outstanding == 0 {
                     break true;
                 }
+                if st.stopped {
+                    break false;
+                }
                 if st.completed != last_completed {
                     last_completed = st.completed;
                     last_progress = Instant::now();
@@ -549,6 +567,19 @@ impl LegionRuntime {
                 WaitOutcome::Stalled { pending: self.stalled_tasks() }
             }
         })
+    }
+
+    /// A wake-up that stops the run: a pending or later
+    /// [`wait_all`](Self::wait_all) returns through its stall path at
+    /// once. Holds the runtime weakly, so task bodies may own it.
+    pub(crate) fn stopper(&self) -> impl Fn() + Send + Sync + 'static {
+        let inner = Arc::downgrade(&self.inner);
+        move || {
+            if let Some(inner) = inner.upgrade() {
+                inner.state.lock().stopped = true;
+                inner.idle.notify_all();
+            }
+        }
     }
 
     /// Names of tasks still waiting on preconditions (diagnostics after a
@@ -602,7 +633,7 @@ fn worker_main(inner: &Inner, worker: u32) {
             );
         }
         let start = Instant::now();
-        let ctx = TaskCtx { inner };
+        let ctx = TaskCtx { inner, worker };
         body(&ctx);
         inner
             .stats_exec_ns

@@ -17,16 +17,17 @@
 //! edges additionally get a one-arrival phase barrier that the producer
 //! arrives at after writing the shared region.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
+use std::convert::Infallible;
 use std::sync::Arc;
 use std::time::Duration;
 
-use babelflow_core::fault::{catch_invoke, MAX_TASK_RETRIES};
+use babelflow_core::exec::{route, run_task, FirstError, Hop};
 use babelflow_core::sync::{Counter, Mutex};
 use babelflow_core::trace::{now_ns, SpanKind, TraceEvent, TraceSink};
 use babelflow_core::{
     Callback, Controller, ControllerError, InitialInputs, Payload, PlanTask, Registry, Result,
-    RunReport, ShardId, ShardPlan, Task, TaskGraph, TaskId, TaskMap,
+    RunReport, ShardId, ShardPlan, TaskId,
 };
 
 use crate::edges::{input_regions, output_regions};
@@ -39,15 +40,12 @@ pub struct LegionSpmdController {
     pub workers: usize,
     /// Stall-detection timeout.
     pub timeout: Duration,
-    /// Prebuilt execution plan. When absent, one is built (and its graph
-    /// queries charged to `PerfStats::task_queries`) on each run.
-    pub plan: Option<Arc<ShardPlan>>,
 }
 
 impl LegionSpmdController {
     /// Controller executing on `workers` threads.
     pub fn new(workers: usize) -> Self {
-        LegionSpmdController { workers, timeout: Duration::from_secs(10), plan: None }
+        LegionSpmdController { workers, timeout: Duration::from_secs(10) }
     }
 
     /// Set the stall-detection timeout.
@@ -55,26 +53,74 @@ impl LegionSpmdController {
         self.timeout = timeout;
         self
     }
-
-    /// Execute from a prebuilt plan instead of querying the graph.
-    pub fn with_plan(mut self, plan: Arc<ShardPlan>) -> Self {
-        self.plan = Some(plan);
-        self
-    }
 }
 
 /// Shared output/error sinks for task bodies.
-#[derive(Default)]
 pub(crate) struct Sinks {
     pub(crate) outputs: Mutex<BTreeMap<TaskId, Vec<Payload>>>,
-    pub(crate) executed: Mutex<std::collections::HashSet<TaskId>>,
-    pub(crate) error: Mutex<Option<ControllerError>>,
+    pub(crate) executed: Mutex<HashSet<TaskId>>,
+    /// The run's first failure; setting it stops the runtime's
+    /// [`wait_all`](LegionRuntime::wait_all).
+    pub(crate) errors: FirstError,
     /// Callback re-executions after captured panics, surfaced as
     /// `RunStats::recovery.retries`.
     pub(crate) retries: Counter,
     /// Payload clones (inputs handed to callbacks, outputs copied into
     /// regions), surfaced as `PerfStats::payload_clones`.
     pub(crate) clones: Counter,
+}
+
+impl Sinks {
+    /// Empty sinks for a run on `rt`.
+    pub(crate) fn new(rt: &LegionRuntime) -> Arc<Self> {
+        Arc::new(Sinks {
+            outputs: Mutex::default(),
+            executed: Mutex::default(),
+            errors: FirstError::waking(rt.stopper()),
+            retries: Counter::new(0),
+            clones: Counter::new(0),
+        })
+    }
+
+    /// Run `rt`'s workers until every launched task of `plan` completes,
+    /// then report; the first task failure wins over the stall it causes.
+    pub(crate) fn wait(
+        &self,
+        rt: &LegionRuntime,
+        plan: &ShardPlan,
+        timeout: Duration,
+    ) -> Result<RunReport> {
+        let finished = rt.wait_all(timeout);
+        if let Some(err) = self.errors.get() {
+            return Err(err);
+        }
+        match finished {
+            WaitOutcome::Completed => {}
+            WaitOutcome::Stalled { .. } => {
+                let executed = self.executed.lock();
+                let mut pending: Vec<TaskId> = plan
+                    .tasks()
+                    .iter()
+                    .map(|pt| pt.id())
+                    .filter(|id| !executed.contains(id))
+                    .collect();
+                pending.sort();
+                return Err(ControllerError::Deadlock { pending });
+            }
+            WaitOutcome::NoWorkers { outstanding } => {
+                return Err(ControllerError::Runtime(format!(
+                    "runtime has zero workers; {outstanding} tasks can never run"
+                )));
+            }
+        }
+        let outputs = std::mem::take(&mut *self.outputs.lock());
+        let mut report = RunReport { outputs, ..RunReport::default() };
+        report.stats.tasks_executed = self.executed.lock().len() as u64;
+        report.stats.local_messages = rt.stats().tasks_launched;
+        report.stats.recovery.retries = self.retries.get();
+        report.stats.perf.payload_clones = self.clones.get();
+        Ok(report)
+    }
 }
 
 /// Attach every external input payload as a pre-mapped physical region.
@@ -92,120 +138,86 @@ pub(crate) fn attach_inputs(rt: &LegionRuntime, plan: &ShardPlan, initial: &Init
     }
 }
 
-/// Build the fully owned single-task launcher for one dataflow task.
+/// Build the fully owned single-task launcher for the plan task at `ix`.
 ///
-/// `barrier_of` maps cross-shard edge regions to their phase barrier; pass
+/// `barriers` maps cross-shard edge regions to their phase barrier; pass
 /// an empty map for index-launch mode (plain region dependences).
 pub(crate) fn build_task_launcher(
-    task: Task,
-    callback: Callback,
+    plan: &Arc<ShardPlan>,
+    ix: u32,
+    registry: &Registry,
     barriers: Arc<HashMap<RegionKey, u64>>,
     sinks: Arc<Sinks>,
     cross_shard_inputs: Vec<u64>,
     rank: u32,
 ) -> TaskLauncher {
-    let in_regions = input_regions(&task);
+    let pt = plan.task(ix);
+    let callback: Callback =
+        registry.get(pt.callback()).expect("preflight checked bindings").clone();
+    let in_regions = input_regions(&pt.task);
+    // One region per route, in route order.
+    let out_regions: Vec<RegionKey> =
+        output_regions(&pt.task).into_iter().map(|(_, region)| region).collect();
 
-    let mut reqs = Vec::new();
-    for (slot, _) in task.incoming.iter().enumerate() {
-        let region = in_regions[slot];
-        // Cross-shard inputs are gated by their barrier (which implies the
-        // region was written); everything else is a region dependence.
-        if !barriers.contains_key(&region) {
-            reqs.push(RegionRequirement::read(region));
-        }
-    }
+    // Cross-shard inputs are gated by their barrier (which implies the
+    // region was written); everything else is a region dependence.
+    let reqs = in_regions
+        .iter()
+        .filter(|region| !barriers.contains_key(region))
+        .map(|&region| RegionRequirement::read(region))
+        .collect();
 
-    let trace_task = task.id.0;
+    let trace_task = pt.id().0;
+    let plan = plan.clone();
     let mut launcher = TaskLauncher::new(
         "dataflow-task",
         Box::new(move |ctx| {
-            let tracing = ctx.tracing();
-            let exec_start = if tracing { now_ns() } else { 0 };
-            let inputs: Vec<Payload> = in_regions.iter().map(|&r| ctx.read_region(r)).collect();
+            let pt = plan.task(ix);
             // Physical regions are immutable once written, so a faulted
             // callback re-reads the same inputs: re-execution in place.
-            let mut attempts = 0u32;
-            let outputs = loop {
-                attempts += 1;
-                sinks.clones.fetch_add(inputs.len() as u64);
-                let cb_start = if tracing { now_ns() } else { 0 };
-                let result = catch_invoke(&callback, inputs.clone(), task.id);
-                if tracing {
-                    ctx.trace_sink().record(
-                        TraceEvent::span(SpanKind::Callback, cb_start, now_ns(), rank, 0)
-                            .with_task(task.id, task.callback),
-                    );
-                }
-                match result {
-                    Ok(outputs) => break outputs,
-                    Err(reason) => {
+            let inputs: Vec<Payload> = in_regions.iter().map(|&r| ctx.read_region(r)).collect();
+            let worker = ctx.worker();
+            let ran = match run_task(pt, &callback, &inputs, ctx.trace_sink(), rank, worker) {
+                Ok(ran) => ran,
+                Err(err) => return sinks.errors.set(err),
+            };
+            if ran.retries > 0 {
+                sinks.retries.fetch_add(ran.retries);
+            }
+            let tracing = ctx.tracing();
+            let mut regions = out_regions.iter();
+            let Ok(routed) = route(pt, ran.outputs, None, |hop| {
+                let region = *regions.next().expect("one region per route");
+                match hop {
+                    Hop::External(p) => sinks.outputs.lock().entry(pt.id()).or_default().push(p),
+                    Hop::Local(dst, p) => {
+                        let send_start = if tracing { now_ns() } else { 0 };
+                        ctx.write_region(region, p);
+                        if let Some(&b) = barriers.get(&region) {
+                            ctx.arrive(b);
+                        }
                         if tracing {
-                            // The failed attempt still occupied the worker:
-                            // record it as its own task-execution span.
+                            // Region writes move payloads in memory: bytes = 0.
                             ctx.trace_sink().record(
-                                TraceEvent::span(SpanKind::TaskExec, cb_start, now_ns(), rank, 0)
-                                    .with_task(task.id, task.callback),
+                                TraceEvent::span(
+                                    SpanKind::MsgSend,
+                                    send_start,
+                                    now_ns(),
+                                    rank,
+                                    worker,
+                                )
+                                    .with_task(pt.id(), pt.callback())
+                                    .with_message(dst, 0),
                             );
                         }
-                        if attempts > MAX_TASK_RETRIES {
-                            let mut err = sinks.error.lock();
-                            if err.is_none() {
-                                *err = Some(ControllerError::TaskError {
-                                    task: task.id,
-                                    attempts,
-                                    reason,
-                                });
-                            }
-                            return;
-                        }
-                        sinks.retries.next();
                     }
+                    Hop::Remote(..) => unreachable!("regions share one address space"),
                 }
-            };
-            if outputs.len() != task.fan_out() {
-                let mut err = sinks.error.lock();
-                if err.is_none() {
-                    *err = Some(ControllerError::BadOutputArity {
-                        task: task.id,
-                        expected: task.fan_out(),
-                        got: outputs.len(),
-                    });
-                }
-                return;
-            }
-            for (slot, region) in output_regions(&task) {
-                sinks.clones.next();
-                if TaskId(region.dst).is_external() {
-                    sinks
-                        .outputs
-                        .lock()
-                        .entry(task.id)
-                        .or_default()
-                        .push(outputs[slot].clone());
-                    continue;
-                }
-                let send_start = if tracing { now_ns() } else { 0 };
-                ctx.write_region(region, outputs[slot].clone());
-                if let Some(&b) = barriers.get(&region) {
-                    ctx.arrive(b);
-                }
-                if tracing {
-                    // Region writes move payloads in memory: bytes = 0.
-                    ctx.trace_sink().record(
-                        TraceEvent::span(SpanKind::MsgSend, send_start, now_ns(), rank, 0)
-                            .with_task(task.id, task.callback)
-                            .with_message(TaskId(region.dst), 0),
-                    );
-                }
-            }
-            sinks.executed.lock().insert(task.id);
-            if tracing {
-                ctx.trace_sink().record(
-                    TraceEvent::span(SpanKind::TaskExec, exec_start, now_ns(), rank, 0)
-                        .with_task(task.id, task.callback),
-                );
-            }
+                Ok::<(), Infallible>(())
+            });
+            // One shared-counter update per task: workers contend for it.
+            sinks.clones.fetch_add(ran.clones + routed);
+            sinks.executed.lock().insert(pt.id());
         }),
     );
     launcher.requirements = reqs;
@@ -218,7 +230,7 @@ pub(crate) fn build_task_launcher(
 /// cross-shard edges. Shard placement comes from the plan, never the map.
 fn launcher_for(
     pt: &PlanTask,
-    plan: &ShardPlan,
+    plan: &Arc<ShardPlan>,
     registry: &Registry,
     barriers: &Arc<HashMap<RegionKey, u64>>,
     sinks: &Arc<Sinks>,
@@ -235,38 +247,22 @@ fn launcher_for(
             }
         }
     }
-    let callback = registry.get(pt.callback()).expect("preflight checked bindings").clone();
-    build_task_launcher(
-        pt.task.clone(),
-        callback,
-        barriers.clone(),
-        sinks.clone(),
-        waits,
-        home.0,
-    )
+    let ix = plan.index_of(pt.id()).expect("plan indexes its own ids");
+    build_task_launcher(plan, ix, registry, barriers.clone(), sinks.clone(), waits, home.0)
 }
 
 impl Controller for LegionSpmdController {
-    fn run_traced(
+    fn execute(
         &mut self,
-        graph: &dyn TaskGraph,
-        map: &dyn TaskMap,
+        plan: &Arc<ShardPlan>,
         registry: &Registry,
         initial: InitialInputs,
         sink: Arc<dyn TraceSink>,
     ) -> Result<RunReport> {
-        let (plan, built_queries) = match &self.plan {
-            Some(p) => (p.clone(), 0),
-            None => {
-                let p = Arc::new(ShardPlan::build(graph, map));
-                let q = p.build_queries();
-                (p, q)
-            }
-        };
         plan.preflight(registry, &initial)?;
         let shards = plan.num_shards();
         let rt = LegionRuntime::with_sink(self.workers, sink);
-        attach_inputs(&rt, &plan, &initial);
+        attach_inputs(&rt, plan, &initial);
 
         // One phase barrier per cross-shard edge.
         let mut barriers: HashMap<RegionKey, u64> = HashMap::new();
@@ -282,7 +278,7 @@ impl Controller for LegionSpmdController {
             }
         }
         let barriers = Arc::new(barriers);
-        let sinks = Arc::new(Sinks::default());
+        let sinks = Sinks::new(&rt);
 
         // Precompute each shard's launchers (the shard task's "schedule its
         // assigned part of the task graph" work), then must-epoch launch
@@ -292,7 +288,7 @@ impl Controller for LegionSpmdController {
             let launchers: Vec<TaskLauncher> = plan
                 .local(ShardId(shard))
                 .iter()
-                .map(|&ix| launcher_for(plan.task(ix), &plan, registry, &barriers, &sinks))
+                .map(|&ix| launcher_for(plan.task(ix), plan, registry, &barriers, &sinks))
                 .collect();
             shard_tasks.push(TaskLauncher::new(
                 "spmd-shard",
@@ -304,39 +300,7 @@ impl Controller for LegionSpmdController {
             ));
         }
         rt.must_epoch_launch(shard_tasks);
-
-        let finished = rt.wait_all(self.timeout);
-        if let Some(err) = sinks.error.lock().take() {
-            return Err(err);
-        }
-        match finished {
-            WaitOutcome::Completed => {}
-            WaitOutcome::Stalled { .. } => {
-                let executed = sinks.executed.lock();
-                let mut pending: Vec<TaskId> = plan
-                    .tasks()
-                    .iter()
-                    .map(|pt| pt.id())
-                    .filter(|id| !executed.contains(id))
-                    .collect();
-                pending.sort();
-                return Err(ControllerError::Deadlock { pending });
-            }
-            WaitOutcome::NoWorkers { outstanding } => {
-                return Err(ControllerError::Runtime(format!(
-                    "runtime has zero workers; {outstanding} tasks can never run"
-                )));
-            }
-        }
-
-        let mut report = RunReport::default();
-        report.outputs = std::mem::take(&mut *sinks.outputs.lock());
-        report.stats.tasks_executed = sinks.executed.lock().len() as u64;
-        report.stats.local_messages = rt.stats().tasks_launched;
-        report.stats.recovery.retries = sinks.retries.get();
-        report.stats.perf.task_queries = built_queries;
-        report.stats.perf.payload_clones = sinks.clones.get();
-        Ok(report)
+        sinks.wait(&rt, plan, self.timeout)
     }
 
     fn name(&self) -> &'static str {

@@ -41,12 +41,13 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use babelflow_core::channel::{select2, unbounded, Select2};
-use babelflow_core::fault::{catch_invoke, MAX_TASK_RETRIES};
+use babelflow_core::exec::{route, run_task, Buffers, Executed, FirstError, Hop};
+use babelflow_core::fault::MAX_TASK_RETRIES;
 use babelflow_core::sync::WorkPool;
 use babelflow_core::trace::{now_ns, SpanKind, TraceEvent, TraceSink, CONTROL_THREAD};
 use babelflow_core::{
-    Controller, ControllerError, InitialInputs, Payload, PlanBuffer, Registry, Result, RunReport,
-    RunStats, ShardId, ShardPlan, TaskGraph, TaskId, TaskMap,
+    Controller, ControllerError, InitialInputs, Payload, Registry, Result, RunReport, RunStats,
+    ShardId, ShardPlan, TaskId,
 };
 
 use crate::comm::{FaultPlan, RankComm, World};
@@ -68,19 +69,11 @@ pub struct MpiController {
     /// Fault injection for tests: transport faults feed the [`World`],
     /// `kill_worker` entries kill this controller's pool threads.
     pub faults: FaultPlan,
-    /// Prebuilt execution plan; when absent one is built (and its query
-    /// cost counted) per run.
-    pub plan: Option<Arc<ShardPlan>>,
 }
 
 impl Default for MpiController {
     fn default() -> Self {
-        MpiController {
-            workers_per_rank: 2,
-            timeout: DEFAULT_TIMEOUT,
-            faults: FaultPlan::none(),
-            plan: None,
-        }
+        MpiController { workers_per_rank: 2, timeout: DEFAULT_TIMEOUT, faults: FaultPlan::none() }
     }
 }
 
@@ -109,77 +102,70 @@ impl MpiController {
         self.faults = faults;
         self
     }
-
-    /// Reuse a prebuilt [`ShardPlan`] (it must have been built against the
-    /// same graph and map this run uses): repeated runs then perform zero
-    /// procedural graph queries.
-    pub fn with_plan(mut self, plan: Arc<ShardPlan>) -> Self {
-        self.plan = Some(plan);
-        self
-    }
 }
 
 /// What one rank produced.
 pub(crate) type RankOutcome = Result<(BTreeMap<TaskId, Vec<Payload>>, RunStats)>;
 
+/// Split `initial` by owning rank: "each rank creates only the portion of
+/// the tasks assigned to it" and receives only the initial inputs local to
+/// it.
+pub(crate) fn inputs_by_rank(plan: &ShardPlan, initial: InitialInputs) -> Vec<InitialInputs> {
+    let mut by_rank: Vec<InitialInputs> =
+        (0..plan.num_shards()).map(|_| HashMap::new()).collect();
+    for (task, payloads) in initial {
+        let shard = plan.task_by_id(task).expect("preflight checked inputs").shard;
+        by_rank[shard.0 as usize].insert(task, payloads);
+    }
+    by_rank
+}
+
+/// Fold the ranks' outcomes into one report. The first error any rank hit
+/// wins over the rank order: a rank that stopped because a peer failed
+/// reports that peer's error, never a stall of its own.
+pub(crate) fn merge_ranks(errors: &FirstError, outcomes: Vec<RankOutcome>) -> Result<RunReport> {
+    if let Some(err) = errors.get() {
+        return Err(err);
+    }
+    let mut report = RunReport::default();
+    for outcome in outcomes {
+        let (outputs, stats) = outcome?;
+        report.outputs.extend(outputs);
+        report.stats.merge(&stats);
+    }
+    Ok(report)
+}
+
 impl Controller for MpiController {
-    fn run_traced(
+    fn execute(
         &mut self,
-        graph: &dyn TaskGraph,
-        map: &dyn TaskMap,
+        plan: &Arc<ShardPlan>,
         registry: &Registry,
         initial: InitialInputs,
         sink: Arc<dyn TraceSink>,
     ) -> Result<RunReport> {
-        let mut built_queries = 0u64;
-        let plan = match &self.plan {
-            Some(p) => p.clone(),
-            None => {
-                let p = Arc::new(ShardPlan::build(graph, map));
-                built_queries = p.build_queries();
-                p
-            }
-        };
         plan.preflight(registry, &initial)?;
-        let nranks = plan.num_shards() as usize;
-        let mut world = World::with_faults(nranks, self.faults.clone());
-        let endpoints = world.endpoints();
-
-        // "Each rank creates only the portion of the tasks assigned to it"
-        // and receives only the initial inputs local to it.
-        let mut rank_inputs: Vec<InitialInputs> = (0..nranks).map(|_| HashMap::new()).collect();
-        for (task, payloads) in initial {
-            let shard = plan.task_by_id(task).expect("preflight checked inputs").shard;
-            rank_inputs[shard.0 as usize].insert(task, payloads);
-        }
-
-        let timeout = self.timeout;
-        let workers = self.workers_per_rank;
-        let faults = &self.faults;
+        let mut world = World::with_faults(plan.num_shards() as usize, self.faults.clone());
+        let (timeout, workers, faults) = (self.timeout, self.workers_per_rank, &self.faults);
+        let errors = FirstError::default();
 
         let outcomes: Vec<RankOutcome> = std::thread::scope(|s| {
-            let handles: Vec<_> = endpoints
+            let handles: Vec<_> = world
+                .endpoints()
                 .into_iter()
-                .zip(rank_inputs)
+                .zip(inputs_by_rank(plan, initial))
                 .map(|(ep, inputs)| {
-                    let sink = sink.clone();
-                    let plan = plan.clone();
+                    let (sink, errors) = (sink.clone(), &errors);
                     s.spawn(move || {
-                        rank_main(ep, &plan, registry, inputs, workers, timeout, faults, sink)
+                        rank_main(
+                            ep, plan, registry, inputs, workers, timeout, faults, sink, errors,
+                        )
                     })
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().expect("rank thread panicked")).collect()
         });
-
-        let mut report = RunReport::default();
-        for outcome in outcomes {
-            let (outputs, stats) = outcome?;
-            report.outputs.extend(outputs);
-            report.stats.merge(&stats);
-        }
-        report.stats.perf.task_queries += built_queries;
-        Ok(report)
+        merge_ranks(&errors, outcomes)
     }
 
     fn name(&self) -> &'static str {
@@ -201,9 +187,7 @@ struct WorkItem {
 /// Result returned by a worker.
 struct DoneItem {
     ix: u32,
-    outputs: std::result::Result<Vec<Payload>, ControllerError>,
-    /// In-place panic retries the worker performed.
-    retries: u64,
+    ran: Result<Executed>,
 }
 
 /// A dispatched-but-not-completed task with its inputs retained so it can
@@ -218,7 +202,7 @@ struct Inflight {
 /// Move ready buffers to the worker pool, retaining each task's inputs in
 /// `inflight` until its completion is observed.
 fn dispatch_ready(
-    buffers: &mut HashMap<TaskId, PlanBuffer>,
+    buffers: &mut Buffers<'_>,
     ready: Vec<TaskId>,
     pool: &WorkPool<WorkItem>,
     inflight: &mut HashMap<TaskId, Inflight>,
@@ -227,9 +211,7 @@ fn dispatch_ready(
 ) {
     let ready_ns = if tracing { now_ns() } else { 0 };
     for id in ready {
-        if let Some(buf) = buffers.remove(&id) {
-            let ix = buf.ix();
-            let inputs = buf.take();
+        if let Some((ix, inputs)) = buffers.take(id) {
             // The retained (re-fire) copy is the one input clone dispatch
             // costs.
             stats.perf.payload_clones += inputs.len() as u64;
@@ -247,6 +229,10 @@ fn dispatch_ready(
     }
 }
 
+/// Run one rank to completion. Any error is also recorded in `errors`
+/// before this rank's shutdown FIN goes out, so the FIN wakes every peer
+/// blocked on its inbox and the peer stops with the recorded error (the
+/// role `MPI_Abort` plays in MPI).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn rank_main(
     ep: RankComm,
@@ -257,22 +243,37 @@ pub(crate) fn rank_main(
     timeout: Duration,
     faults: &FaultPlan,
     sink: Arc<dyn TraceSink>,
+    errors: &FirstError,
 ) -> RankOutcome {
     let mut rel = ReliableEndpoint::new(ep);
-    match rank_main_inner(&mut rel, plan, registry, initial, workers, timeout, faults, sink) {
+    let outcome =
+        rank_main_inner(&mut rel, plan, registry, initial, workers, timeout, faults, sink, errors);
+    finish_rank(rel, outcome, timeout, errors)
+}
+
+/// Shut one rank down after its dataflow part ended with `outcome`.
+pub(crate) fn finish_rank(
+    mut rel: ReliableEndpoint,
+    outcome: RankOutcome,
+    timeout: Duration,
+    errors: &FirstError,
+) -> RankOutcome {
+    match outcome {
         Ok((outputs, mut stats)) => {
             // Drain: wait for our acks, then linger re-acking peers until
             // the whole world is finished. A `false` here means a peer
-            // died without reaching the barrier — its own outcome carries
-            // the error, ours is complete.
-            rel.flush(timeout);
+            // failed or died without reaching the barrier — its own
+            // outcome carries the error, ours is complete.
+            rel.flush_unless(timeout, || errors.get().is_some());
             stats.recovery.merge(&rel.stats);
             stats.perf.envelopes_sent += rel.envelopes_sent;
             stats.perf.batches_sent += rel.batches_sent;
             Ok((outputs, stats))
         }
         Err(e) => {
-            // Unblock peers lingering at the shutdown barrier.
+            errors.set(e.clone());
+            // Unblock peers waiting on their inboxes or lingering at the
+            // shutdown barrier.
             rel.mark_finished();
             Err(e)
         }
@@ -289,26 +290,11 @@ fn rank_main_inner(
     timeout: Duration,
     faults: &FaultPlan,
     sink: Arc<dyn TraceSink>,
-) -> Result<(BTreeMap<TaskId, Vec<Payload>>, RunStats)> {
+    errors: &FirstError,
+) -> RankOutcome {
     let my_shard = ShardId(rel.rank() as u32);
-    let local = plan.local(my_shard);
-    let local_total = local.len();
-    let mut buffers: HashMap<TaskId, PlanBuffer> = local
-        .iter()
-        .map(|&ix| (plan.task(ix).id(), PlanBuffer::new(plan, ix)))
-        .collect();
-
-    for (task, payloads) in initial {
-        let buf = buffers
-            .get_mut(&task)
-            .ok_or_else(|| ControllerError::Runtime(format!("initial input for non-local task {task}")))?;
-        let pt = plan.task(buf.ix());
-        for p in payloads {
-            if !buf.deliver(pt, TaskId::EXTERNAL, p) {
-                return Err(ControllerError::Runtime(format!("too many initial inputs for {task}")));
-            }
-        }
-    }
+    let local_total = plan.local(my_shard).len();
+    let mut buffers = Buffers::new(plan, plan.local(my_shard).iter().copied(), initial)?;
 
     let tracing = sink.enabled();
     let my_rank = rel.rank() as u32;
@@ -343,98 +329,34 @@ fn rank_main_inner(
                         break;
                     }
                     let pt = plan.task(ix);
-                    let (task_id, task_cb) = (pt.id(), pt.callback());
-                    let pickup = if tracing { now_ns() } else { 0 };
                     if tracing {
                         sink.record(
                             TraceEvent::span(
                                 SpanKind::QueueWait,
                                 ready_ns,
-                                pickup,
+                                now_ns(),
                                 my_rank,
                                 worker_idx,
                             )
-                            .with_task(task_id, task_cb),
+                            .with_task(pt.id(), pt.callback()),
                         );
                     }
-                    let cb = registry.get(task_cb).expect("preflight checked bindings");
-                    let mut retries = 0u64;
-                    let result = loop {
-                        let attempt_start = if tracing { now_ns() } else { 0 };
-                        let attempt = catch_invoke(cb, inputs.clone(), task_id);
-                        if tracing {
-                            // Every attempt — failed ones included — gets
-                            // its own Callback + TaskExec span pair, so
-                            // retries are visible in the trace.
-                            let end = now_ns();
-                            sink.record(
-                                TraceEvent::span(
-                                    SpanKind::Callback,
-                                    attempt_start,
-                                    end,
-                                    my_rank,
-                                    worker_idx,
-                                )
-                                .with_task(task_id, task_cb),
-                            );
-                            sink.record(
-                                TraceEvent::span(
-                                    SpanKind::TaskExec,
-                                    attempt_start,
-                                    end,
-                                    my_rank,
-                                    worker_idx,
-                                )
-                                .with_task(task_id, task_cb),
-                            );
-                        }
-                        match attempt {
-                            Ok(outs) => break Ok(outs),
-                            Err(reason) => {
-                                if retries >= MAX_TASK_RETRIES as u64 {
-                                    break Err(ControllerError::TaskError {
-                                        task: task_id,
-                                        attempts: retries as u32 + 1,
-                                        reason,
-                                    });
-                                }
-                                retries += 1;
-                            }
-                        }
-                    };
-                    let outputs = result.and_then(|outs| {
-                        if outs.len() == pt.fan_out() {
-                            Ok(outs)
-                        } else {
-                            Err(ControllerError::BadOutputArity {
-                                task: task_id,
-                                expected: pt.fan_out(),
-                                got: outs.len(),
-                            })
-                        }
-                    });
-                    let _ = done_tx.send(DoneItem { ix, outputs, retries });
+                    let cb = registry.get(pt.callback()).expect("preflight checked bindings");
+                    let ran = run_task(pt, cb, &inputs, &*sink, my_rank, worker_idx);
+                    let _ = done_tx.send(DoneItem { ix, ran });
                 }
             });
         }
         drop(done_tx);
 
-        let result = (|| -> Result<(BTreeMap<TaskId, Vec<Payload>>, RunStats)> {
+        let result = (|| -> RankOutcome {
             let mut outputs: BTreeMap<TaskId, Vec<Payload>> = BTreeMap::new();
             let mut stats = RunStats::default();
             let mut executed = 0usize;
             let mut inflight: HashMap<TaskId, Inflight> = HashMap::new();
             let mut completed: HashSet<TaskId> = HashSet::new();
 
-            let initially_ready: Vec<TaskId> = {
-                let mut r: Vec<TaskId> = buffers
-                    .iter()
-                    .filter(|(_, b)| b.ready())
-                    .map(|(&id, _)| id)
-                    .collect();
-                r.sort();
-                r
-            };
+            let initially_ready = buffers.ready();
             dispatch_ready(&mut buffers, initially_ready, &pool, &mut inflight, &mut stats, tracing);
 
             // Short select tick (drives retransmits and re-fires) decoupled
@@ -445,6 +367,9 @@ fn rank_main_inner(
             let mut last_progress = Instant::now();
 
             while executed < local_total {
+                if let Some(err) = errors.get() {
+                    return Err(err);
+                }
                 // Consume queued acks (before any tick can retransmit
                 // against them) and send the acks this rank owes.
                 rel.poll();
@@ -456,18 +381,11 @@ fn rank_main_inner(
                     let msg = DataflowMsg::decode(&body).ok_or_else(|| {
                         ControllerError::Runtime(format!("malformed message from rank {src_rank}"))
                     })?;
-                    let buf = buffers.get_mut(&msg.dst_task).ok_or_else(|| {
-                        ControllerError::Runtime(format!(
-                            "message for unknown/finished task {}", msg.dst_task
-                        ))
-                    })?;
-                    let dst_pt = plan.task(buf.ix());
-                    if !buf.deliver(dst_pt, msg.src_task, Payload::Buffer(msg.payload)) {
-                        return Err(ControllerError::Runtime(format!(
-                            "unexpected delivery {} -> {}", msg.src_task, msg.dst_task
-                        )));
+                    if buffers.deliver(msg.src_task, msg.dst_task, Payload::Buffer(msg.payload))? {
+                        newly_ready.push(msg.dst_task);
                     }
                     if tracing {
+                        let dst_cb = plan.task_by_id(msg.dst_task).expect("delivered").callback();
                         sink.record(
                             TraceEvent::span(
                                 SpanKind::MsgRecv,
@@ -476,12 +394,9 @@ fn rank_main_inner(
                                 my_rank,
                                 CONTROL_THREAD,
                             )
-                            .with_task(msg.dst_task, dst_pt.callback())
+                            .with_task(msg.dst_task, dst_cb)
                             .with_message(msg.src_task, wire_bytes),
                         );
-                    }
-                    if buf.ready() {
-                        newly_ready.push(msg.dst_task);
                     }
                     last_progress = Instant::now();
                 }
@@ -491,8 +406,7 @@ fn rank_main_inner(
                 // envelopes, then the protocol tick.
                 let sel = select2(&done_rx, rel.inbox(), tick);
                 match sel {
-                    Select2::A(DoneItem { ix, outputs: result, retries }) => {
-                        stats.recovery.retries += retries;
+                    Select2::A(DoneItem { ix, ran }) => {
                         let pt = plan.task(ix);
                         let id = pt.id();
                         if !completed.insert(id) {
@@ -500,38 +414,23 @@ fn rank_main_inner(
                             // outputs were already routed (exactly-once).
                             continue;
                         }
-                        if let Some(inf) = inflight.remove(&id) {
-                            // Each execution attempt cloned the inputs once
-                            // inside the worker.
-                            stats.perf.payload_clones +=
-                                inf.inputs.len() as u64 * (retries + 1);
-                        }
-                        let outs = result?;
+                        inflight.remove(&id);
+                        let ran = ran?;
                         executed += 1;
                         stats.tasks_executed += 1;
+                        stats.recovery.retries += ran.retries;
+                        stats.perf.payload_clones += ran.clones;
                         last_progress = Instant::now();
 
                         let mut newly_ready = Vec::new();
-                        for (slot, payload) in outs.into_iter().enumerate() {
-                            for route in &pt.routes[slot] {
-                                if route.is_external() {
-                                    outputs.entry(id).or_default().push(payload.clone());
-                                    stats.perf.payload_clones += 1;
-                                } else if route.shard == my_shard {
-                                    let dst = route.dst;
+                        let clones = route(pt, ran.outputs, Some(my_shard), |hop| {
+                            match hop {
+                                Hop::External(p) => outputs.entry(id).or_default().push(p),
+                                Hop::Local(dst, p) => {
                                     // In-memory fast path: skip serialization.
-                                    let buf = buffers.get_mut(&dst).ok_or_else(|| {
-                                        ControllerError::Runtime(format!(
-                                            "local consumer {dst} missing or already executed"
-                                        ))
-                                    })?;
-                                    let dst_pt = plan.task(buf.ix());
-                                    if !buf.deliver(dst_pt, id, payload.clone()) {
-                                        return Err(ControllerError::Runtime(format!(
-                                            "unexpected local delivery {} -> {dst}", id
-                                        )));
+                                    if buffers.deliver(id, dst, p)? {
+                                        newly_ready.push(dst);
                                     }
-                                    stats.perf.payload_clones += 1;
                                     stats.local_messages += 1;
                                     if tracing {
                                         let t = now_ns();
@@ -548,17 +447,14 @@ fn rank_main_inner(
                                             .with_message(dst, 0),
                                         );
                                     }
-                                    if buf.ready() {
-                                        newly_ready.push(dst);
-                                    }
-                                } else {
+                                }
+                                Hop::Remote(r, p) => {
                                     let send_start = if tracing { now_ns() } else { 0 };
-                                    let msg = DataflowMsg::from_payload(route.dst, id, &payload);
-                                    let body = msg.encode();
-                                    stats.remote_messages += 1;
-                                    stats.remote_bytes += body.len() as u64;
+                                    let body = DataflowMsg::from_payload(r.dst, id, p).encode();
                                     let wire_bytes = body.len() as u64;
-                                    rel.send(route.shard.0 as usize, TAG_DATAFLOW, body);
+                                    stats.remote_messages += 1;
+                                    stats.remote_bytes += wire_bytes;
+                                    rel.send(r.shard.0 as usize, TAG_DATAFLOW, body);
                                     if tracing {
                                         sink.record(
                                             TraceEvent::span(
@@ -569,12 +465,14 @@ fn rank_main_inner(
                                                 CONTROL_THREAD,
                                             )
                                             .with_task(id, pt.callback())
-                                            .with_message(route.dst, wire_bytes),
+                                            .with_message(r.dst, wire_bytes),
                                         );
                                     }
                                 }
                             }
-                        }
+                            Ok::<(), ControllerError>(())
+                        })?;
+                        stats.perf.payload_clones += clones;
                         // One envelope per destination for this task's whole
                         // fan-out.
                         rel.flush_sends();
@@ -613,8 +511,8 @@ fn rank_main_inner(
                             }
                         }
                         if last_progress.elapsed() >= timeout {
-                            let mut pending: Vec<TaskId> =
-                                buffers.keys().copied().chain(inflight.keys().copied()).collect();
+                            let mut pending = buffers.pending();
+                            pending.extend(inflight.keys().copied());
                             pending.sort();
                             return Err(ControllerError::Deadlock { pending });
                         }

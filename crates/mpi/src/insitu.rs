@@ -20,8 +20,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use babelflow_core::{
-    ControllerError, InitialInputs, Payload, Registry, Result, RunStats, ShardId, ShardPlan,
-    TaskGraph, TaskId, TaskMap,
+    ControllerError, FirstError, InitialInputs, Payload, Registry, Result, RunStats, ShardId,
+    ShardPlan, TaskGraph, TaskId, TaskMap,
 };
 
 use crate::comm::World;
@@ -72,6 +72,9 @@ impl InSituWorld {
     pub fn into_ranks(self) -> Vec<InSituRank> {
         let n = self.map.num_shards() as usize;
         let mut world = World::new(n);
+        // One slot per world: a failing rank stops its peers, and every
+        // rank of a failed world reports the same first error.
+        let errors = Arc::new(FirstError::default());
         world
             .endpoints()
             .into_iter()
@@ -81,6 +84,7 @@ impl InSituWorld {
                 map: self.map.clone(),
                 registry: self.registry.clone(),
                 plan: self.plan.clone(),
+                errors: errors.clone(),
                 workers: self.workers_per_rank,
                 timeout: self.timeout,
             })
@@ -95,6 +99,7 @@ pub struct InSituRank {
     map: Arc<dyn TaskMap>,
     registry: Arc<Registry>,
     plan: Arc<ShardPlan>,
+    errors: Arc<FirstError>,
     workers: usize,
     timeout: Duration,
 }
@@ -147,6 +152,7 @@ impl InSituRank {
             self.timeout,
             &crate::comm::FaultPlan::none(),
             babelflow_core::trace::noop_sink(),
+            &self.errors,
         )
     }
 }

@@ -423,6 +423,13 @@ impl ReliableEndpoint {
     /// blocks until the deadline and wakes on each envelope, the last
     /// peer's [`TAG_FIN`](crate::comm::TAG_FIN) included.
     pub fn flush(&mut self, stall: Duration) -> bool {
+        self.flush_unless(stall, || false)
+    }
+
+    /// [`flush`](Self::flush), but give up waiting for acks as soon as
+    /// `abort` answers `true`: the run has failed elsewhere, and a failed
+    /// peer never acks again.
+    pub(crate) fn flush_unless(&mut self, stall: Duration, abort: impl Fn() -> bool) -> bool {
         self.flush_sends();
         let deadline = Instant::now() + stall;
         let rto_check = Duration::from_millis(2);
@@ -431,7 +438,7 @@ impl ReliableEndpoint {
             if self.all_acked() {
                 break;
             }
-            if Instant::now() >= deadline {
+            if abort() || Instant::now() >= deadline {
                 self.mark_finished();
                 return false;
             }

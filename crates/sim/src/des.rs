@@ -6,7 +6,7 @@
 //! overheads, and fast paths come from a [`RuntimeCosts`] preset. The
 //! graphs, placements, and readiness rules are the real ones — only
 //! wall-clock is replaced — which lets the 128–32768-core studies of the
-//! paper run on a single-core build machine.
+//! paper run on a two-core build machine.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};

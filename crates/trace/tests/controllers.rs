@@ -142,6 +142,28 @@ fn serial_trace_is_well_nested_with_matched_callbacks() {
 }
 
 #[test]
+fn every_controller_trace_is_well_nested() {
+    // Callbacks long enough that a backend's workers run tasks of one
+    // shard at the same time: spans recorded on a shared row would overlap.
+    let graph = Reduction::new(64, 4);
+    let map = FnMap::new(2, graph.ids(), |t| ShardId((t.0 % 2) as u32));
+    let mut reg = Registry::new();
+    for cb in 0..3 {
+        reg.register(CallbackId(cb), |inputs, _| {
+            std::thread::sleep(std::time::Duration::from_micros(200));
+            vec![pay(inputs.iter().map(val).sum())]
+        });
+    }
+    for mut ctrl in all_controllers() {
+        let recorder = TraceRecorder::shared();
+        ctrl.run_traced(&graph, &map, &reg, inputs(&graph), recorder.clone())
+            .unwrap_or_else(|e| panic!("{} failed: {e:?}", ctrl.name()));
+        check_well_nested(&recorder.take())
+            .unwrap_or_else(|e| panic!("{} nesting: {e}", ctrl.name()));
+    }
+}
+
+#[test]
 fn summary_counts_match_graph_shape() {
     let (_, trace) = record(&mut babelflow_mpi::MpiController::new());
     let summary = TraceSummary::from_trace(&trace);

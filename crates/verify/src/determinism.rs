@@ -10,13 +10,13 @@
 //! controller's canonical output. A divergence means a callback is
 //! order-sensitive: it observes arrival order, global state, or time.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use babelflow_core::controller::{ControllerError, InitialInputs, Result, RunReport};
-use babelflow_core::ids::TaskId;
-use babelflow_core::plan::{PlanBuffer, ShardPlan};
+use babelflow_core::exec::{route, run_task, Buffers, Hop};
+use babelflow_core::plan::ShardPlan;
 use babelflow_core::rng::Rng;
+use babelflow_core::trace::{noop_sink, NoopSink};
 use babelflow_core::{canonical_outputs, Controller, Registry, SerialController, TaskGraph, TaskMap};
 
 /// Outcome of a determinism check.
@@ -65,12 +65,7 @@ pub fn check_determinism(
     base_seed: u64,
 ) -> Result<DeterminismReport> {
     let plan = Arc::new(ShardPlan::build(graph, map));
-    let baseline = SerialController::new().with_plan(plan.clone()).run(
-        graph,
-        map,
-        registry,
-        initial.clone(),
-    )?;
+    let baseline = SerialController::new().execute(&plan, registry, initial.clone(), noop_sink())?;
     let want = canonical_outputs(&baseline);
 
     let mut rep = DeterminismReport::default();
@@ -86,94 +81,47 @@ pub fn check_determinism(
 
 /// Execute the plan with a random-order ready set: whenever more than
 /// one task is ready, a seeded pick decides which runs next. Deliveries
-/// from one producer still land in slot order (the transport FIFO).
+/// from one producer still land in slot order (the transport FIFO), and
+/// each task runs through the shared executor, so a panicking callback is
+/// retried exactly as on every backend.
 fn run_permuted(
-    plan: &Arc<ShardPlan>,
+    plan: &ShardPlan,
     registry: &Registry,
     initial: InitialInputs,
     seed: u64,
 ) -> Result<RunReport> {
     plan.preflight(registry, &initial)?;
     let mut rng = Rng::seed_from_u64(seed);
-
-    let mut states: HashMap<TaskId, PlanBuffer> = plan
-        .tasks()
-        .iter()
-        .map(|pt| {
-            let ix = plan.index_of(pt.id()).expect("plan indexes its own ids");
-            (pt.id(), PlanBuffer::new(plan, ix))
-        })
-        .collect();
-
-    for (&id, payloads) in &initial {
-        let st = states
-            .get_mut(&id)
-            .ok_or_else(|| ControllerError::Runtime(format!("initial input for unknown task {id}")))?;
-        let pt = plan.task(st.ix());
-        for p in payloads {
-            if !st.deliver(pt, TaskId::EXTERNAL, p.clone()) {
-                return Err(ControllerError::Runtime(format!(
-                    "too many initial inputs for task {id}"
-                )));
-            }
-        }
-    }
-
-    let mut ready: Vec<TaskId> = {
-        let mut ids: Vec<TaskId> =
-            states.iter().filter(|(_, st)| st.ready()).map(|(&id, _)| id).collect();
-        ids.sort();
-        ids
-    };
+    let mut buffers = Buffers::new(plan, 0..plan.len() as u32, initial)?;
+    let mut ready = buffers.ready();
 
     let mut report = RunReport::default();
     while !ready.is_empty() {
-        let pick = rng.random_range(0..ready.len());
-        let id = ready.swap_remove(pick);
-        let st = states.remove(&id).expect("ready task has state");
-        let pt = plan.task(st.ix());
+        let id = ready.swap_remove(rng.random_range(0..ready.len()));
+        let (ix, inputs) = buffers.take(id).expect("ready task is pending");
+        let pt = plan.task(ix);
         let cb = registry.get(pt.callback()).expect("preflight checked bindings");
-        let outputs = cb(st.take(), id);
+        let ran = run_task(pt, cb, &inputs, &NoopSink, 0, 0)?;
         report.stats.tasks_executed += 1;
 
-        if outputs.len() != pt.fan_out() {
-            return Err(ControllerError::BadOutputArity {
-                task: id,
-                expected: pt.fan_out(),
-                got: outputs.len(),
-            });
-        }
-
-        for (slot, payload) in outputs.into_iter().enumerate() {
-            for route in &pt.routes[slot] {
-                let dst = route.dst;
-                if dst.is_external() {
-                    report.outputs.entry(id).or_default().push(payload.clone());
-                    continue;
+        let (outputs, stats) = (&mut report.outputs, &mut report.stats);
+        route(pt, ran.outputs, None, |hop| {
+            match hop {
+                Hop::External(p) => outputs.entry(id).or_default().push(p),
+                Hop::Local(dst, p) => {
+                    stats.local_messages += 1;
+                    if buffers.deliver(id, dst, p)? {
+                        ready.push(dst);
+                    }
                 }
-                let dst_state = states.get_mut(&dst).ok_or_else(|| {
-                    ControllerError::Runtime(format!(
-                        "task {id} sent to unknown or already-executed task {dst}"
-                    ))
-                })?;
-                let dst_pt = plan.task(dst_state.ix());
-                if !dst_state.deliver(dst_pt, id, payload.clone()) {
-                    return Err(ControllerError::Runtime(format!(
-                        "task {dst} has no free input slot for producer {id}"
-                    )));
-                }
-                report.stats.local_messages += 1;
-                if dst_state.ready() {
-                    ready.push(dst);
-                }
+                Hop::Remote(..) => unreachable!("the replay runs in one address space"),
             }
-        }
+            Ok::<(), ControllerError>(())
+        })?;
     }
 
-    if !states.is_empty() {
-        let mut pending: Vec<TaskId> = states.keys().copied().collect();
-        pending.sort();
-        return Err(ControllerError::Deadlock { pending });
+    if !buffers.is_empty() {
+        return Err(ControllerError::Deadlock { pending: buffers.pending() });
     }
     Ok(report)
 }

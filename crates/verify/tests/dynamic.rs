@@ -176,6 +176,36 @@ fn order_sensitive_callback_is_caught() {
 }
 
 #[test]
+fn replay_retries_a_panicking_callback_like_every_backend() {
+    // One task, EXTERNAL -> t0 -> EXTERNAL, whose callback panics on its
+    // second call overall: the serial baseline makes the first call, so
+    // the panic lands in the first permuted replay, which must retry it
+    // rather than unwind out of the check.
+    babelflow_core::quiet_panic_hook();
+    let mut t0 = babelflow_core::Task::new(TaskId(0), CallbackId(0));
+    t0.incoming = vec![TaskId::EXTERNAL];
+    t0.outgoing = vec![vec![TaskId::EXTERNAL]];
+    let g = babelflow_core::ExplicitGraph::new(vec![t0], vec![CallbackId(0)]);
+    let map = ModuloMap::new(1, 1);
+    let calls = Arc::new(AtomicU64::new(0));
+    let mut reg = Registry::new();
+    {
+        let calls = calls.clone();
+        reg.register(CallbackId(0), move |inputs, _| {
+            if calls.fetch_add(1, Ordering::SeqCst) == 1 {
+                panic!("{}: second call", babelflow_core::PANIC_MARKER);
+            }
+            inputs
+        });
+    }
+    let initial: InitialInputs = [(TaskId(0), vec![pay(3)])].into_iter().collect();
+    let rep = check_determinism(&g, &map, &reg, &initial, 4, 0).unwrap();
+    assert_eq!(rep.schedules, 4);
+    assert!(rep.is_deterministic(), "{rep}");
+    assert_eq!(calls.load(Ordering::SeqCst), 6, "baseline + 4 replays + one retry");
+}
+
+#[test]
 fn determinism_harness_rejects_unlintable_graphs() {
     // The harness runs preflight, so a corrupt graph fails fast instead
     // of deadlocking the replay loop.
